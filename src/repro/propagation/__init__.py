@@ -7,7 +7,7 @@ maximum-likelihood estimator used to fit the model to testbed RSSI data
 (Figure 14).
 """
 
-from .channel import ChannelModel, LinkBudget, NormalizedChannel
+from .channel import ChannelModel, LinkBudget, NormalizedChannel, ShadowingTable
 from .diffraction import fresnel_v, knife_edge_loss_db, knife_edge_loss_db_exact
 from .fading import RayleighFading, RicianFading, effective_wideband_sigma_db
 from .fitting import PropagationFit, fit_path_loss_shadowing, predict_rssi_db
@@ -24,6 +24,7 @@ __all__ = [
     "ChannelModel",
     "LinkBudget",
     "NormalizedChannel",
+    "ShadowingTable",
     "LogDistancePathLoss",
     "free_space_path_loss_db",
     "path_gain",

@@ -15,7 +15,7 @@ probing phase and the measurement phase).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Sequence, Tuple, Union
+from typing import Dict, Hashable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .fading import RayleighFading
 from .pathloss import LogDistancePathLoss, path_gain
 from .shadowing import ShadowingModel
 
-__all__ = ["NormalizedChannel", "ChannelModel", "LinkBudget"]
+__all__ = ["NormalizedChannel", "ChannelModel", "LinkBudget", "ShadowingTable"]
 
 PairKey = Tuple[Hashable, Hashable]
 
@@ -95,14 +95,29 @@ class NormalizedChannel:
         return self._shadowing.sample_linear(size)
 
 
+class ShadowingTable(NamedTuple):
+    """A channel's batch-drawn shadowing: one read-only symmetric matrix.
+
+    ``matrix_db[i, j]`` is the static shadowing (dB) of the unordered pair
+    ``(ids[i], ids[j])``; the diagonal is zero and never queried.
+    """
+
+    ids: Tuple[Hashable, ...]
+    matrix_db: np.ndarray
+
+
 @dataclass
 class ChannelModel:
     """Physical-unit channel used by the simulator and synthetic testbed.
 
     Combines log-distance path loss, per-pair static lognormal shadowing, and
-    optional per-packet Rayleigh fading residue.  Shadowing values are drawn
-    lazily per unordered node pair and cached, making links reciprocal (the
-    paper's Figure 14 fit assumes symmetric channels).
+    optional per-packet Rayleigh fading residue.  Shadowing is one value per
+    unordered node pair, so links are reciprocal (the paper's Figure 14 fit
+    assumes symmetric channels).  It lives in two places, consulted in this
+    order: a small dict of pinned (:meth:`set_shadowing_db`) and lazily drawn
+    pairs, then the :class:`ShadowingTable` that :meth:`shadowing_matrix`
+    draws in one batch.  A pair found in neither is drawn on first query and
+    kept in the dict.
     """
 
     path_loss: LogDistancePathLoss = field(
@@ -120,25 +135,52 @@ class ChannelModel:
         if self.sigma_db < 0 or self.fading_sigma_db < 0:
             raise ValueError("sigma values must be non-negative")
         self._pair_shadowing_db: Dict[PairKey, float] = {}
+        self._table: Optional[ShadowingTable] = None
+        self._table_index: Dict[Hashable, int] = {}
 
     # -- shadowing bookkeeping -------------------------------------------------
 
-    @staticmethod
-    def _order_pair(a: Hashable, b: Hashable, repr_a: str, repr_b: str) -> PairKey:
-        return (a, b) if repr_a <= repr_b else (b, a)
-
     def _pair_key(self, a: Hashable, b: Hashable) -> PairKey:
-        return self._order_pair(a, b, repr(a), repr(b))
+        return (a, b) if repr(a) <= repr(b) else (b, a)
+
+    @property
+    def shadowing_table(self) -> Optional[ShadowingTable]:
+        """The batch-drawn shadowing, or ``None`` before any batch draw."""
+        return self._table
+
+    @property
+    def holds_shadowing(self) -> bool:
+        """Whether any pair has been drawn or pinned on this channel."""
+        return self._table is not None or bool(self._pair_shadowing_db)
+
+    def load_shadowing_table(self, table: ShadowingTable) -> None:
+        """Adopt the table another channel of the same config and seed drew.
+
+        The table is shared, not copied (it is read-only).  Only an untouched
+        channel can adopt one: earlier draws or pins would disagree with it.
+        """
+        if self.holds_shadowing:
+            raise ValueError("channel already holds shadowing draws or pins")
+        self._set_table(table.ids, table.matrix_db)
+
+    def _set_table(self, ids: Sequence[Hashable], matrix_db: np.ndarray) -> None:
+        matrix_db.flags.writeable = False
+        self._table = ShadowingTable(tuple(ids), matrix_db)
+        self._table_index = {node: i for i, node in enumerate(ids)}
 
     def shadowing_db(self, a: Hashable, b: Hashable) -> float:
         """Static shadowing value (dB) for the unordered pair ``(a, b)``."""
         key = self._pair_key(a, b)
-        if key not in self._pair_shadowing_db:
-            if self.sigma_db == 0.0:
-                self._pair_shadowing_db[key] = 0.0
-            else:
-                self._pair_shadowing_db[key] = float(self.rng.normal(0.0, self.sigma_db))
-        return self._pair_shadowing_db[key]
+        value = self._pair_shadowing_db.get(key)
+        if value is not None:
+            return value
+        i = self._table_index.get(a)
+        j = self._table_index.get(b)
+        if i is not None and j is not None and i != j:
+            return float(self._table.matrix_db[i, j])
+        value = 0.0 if self.sigma_db == 0.0 else float(self.rng.normal(0.0, self.sigma_db))
+        self._pair_shadowing_db[key] = value
+        return value
 
     def set_shadowing_db(self, a: Hashable, b: Hashable, value_db: float) -> None:
         """Pin the shadowing value for a pair (used by tests and scenarios)."""
@@ -147,47 +189,71 @@ class ChannelModel:
     def shadowing_matrix(self, ids: Sequence[Hashable]) -> np.ndarray:
         """Symmetric per-pair shadowing matrix (dB) for the given node order.
 
-        Values already cached (drawn lazily or pinned via
-        :meth:`set_shadowing_db`) are reused verbatim; missing pairs are drawn
-        in one batched call, in deterministic ``(i, j), i < j`` order, and
-        cached so later per-pair queries agree with the matrix.
+        Known values (pinned, drawn lazily, or in the table) are reused
+        verbatim; missing pairs are drawn in one batched call, in
+        deterministic ``(i, j), i < j`` order, and kept so later per-pair
+        queries agree with the matrix.  The result may be the channel's own
+        read-only table: copy it before writing.
         """
         n = len(ids)
-        matrix = np.zeros((n, n), dtype=float)
-        if self.sigma_db == 0.0 and not self._pair_shadowing_db:
-            return matrix
-        if not self._pair_shadowing_db:
-            # Cold start (the common scenario-run case): one batched draw for
-            # all pairs, consumed in the same ``(i, j), i < j`` row-major
-            # order as the incremental path below, assigned vectorized.
+        if not self.holds_shadowing:
+            if self.sigma_db == 0.0:
+                return np.zeros((n, n))
+            # Cold start (the common scenario-run case): the batch becomes
+            # the table, with no per-pair bookkeeping.
             iu, ju = np.triu_indices(n, k=1)
             draws = self.rng.normal(0.0, self.sigma_db, size=iu.size)
+            matrix = np.zeros((n, n))
             matrix[iu, ju] = draws
             matrix[ju, iu] = draws
-            reprs = [repr(node) for node in ids]
-            for i, j, draw in zip(iu.tolist(), ju.tolist(), draws.tolist()):
-                key = self._order_pair(ids[i], ids[j], reprs[i], reprs[j])
-                self._pair_shadowing_db[key] = draw
+            self._set_table(ids, matrix)
             return matrix
-        missing = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                key = self._pair_key(ids[i], ids[j])
-                value = self._pair_shadowing_db.get(key)
-                if value is None:
-                    missing.append((i, j, key))
-                else:
-                    matrix[i, j] = matrix[j, i] = value
-        if missing:
-            if self.sigma_db > 0.0:
-                draws = self.rng.normal(0.0, self.sigma_db, size=len(missing))
-            else:
-                draws = np.zeros(len(missing))
-            for (i, j, key), draw in zip(missing, draws):
-                value = float(draw)
-                self._pair_shadowing_db[key] = value
-                matrix[i, j] = matrix[j, i] = value
+        position = {node: i for i, node in enumerate(ids)}
+        matrix, known = self._known_shadowing(position)
+        iu, ju = np.nonzero(np.triu(~known, k=1))  # row-major: (i, j), i < j
+        if not iu.size:
+            return matrix
+        if self.sigma_db > 0.0:
+            draws = self.rng.normal(0.0, self.sigma_db, size=iu.size)
+        else:
+            draws = np.zeros(iu.size)
+        matrix[iu, ju] = draws
+        matrix[ju, iu] = draws
+        if self._table is None or all(node in position for node in self._table.ids):
+            # The new matrix holds every table value: it supersedes the table.
+            self._set_table(ids, matrix)
+        else:
+            for i, j, draw in zip(iu.tolist(), ju.tolist(), draws.tolist()):
+                self._pair_shadowing_db[self._pair_key(ids[i], ids[j])] = draw
         return matrix
+
+    def _known_shadowing(
+        self, position: Dict[Hashable, int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The matrix of already-known values over ``position``'s node order,
+        and the mask of which entries are known (the dict wins over the table).
+        """
+        n = len(position)
+        matrix = np.zeros((n, n))
+        known = np.zeros((n, n), dtype=bool)
+        if self._table is not None:
+            rows = np.fromiter(
+                (self._table_index.get(node, -1) for node in position),
+                dtype=np.intp,
+                count=n,
+            )
+            present = np.flatnonzero(rows >= 0)
+            matrix[np.ix_(present, present)] = self._table.matrix_db[
+                np.ix_(rows[present], rows[present])
+            ]
+            known[np.ix_(present, present)] = True
+        for (a, b), value in self._pair_shadowing_db.items():
+            i = position.get(a)
+            j = position.get(b)
+            if i is not None and j is not None and i != j:
+                matrix[i, j] = matrix[j, i] = value
+                known[i, j] = known[j, i] = True
+        return matrix, known
 
     def rx_power_matrix(
         self, ids: Sequence[Hashable], distance_m: np.ndarray

@@ -6,7 +6,7 @@ it takes the flattened scenario config as keyword arguments, so a task's
 config is exactly :meth:`Scenario.as_config`.
 
 Warm pools: each worker process keeps a small LRU of
-``(placement, rx-power matrix)`` warm states keyed by
+``(placement, rx-power matrix, shadowing table)`` warm states keyed by
 :meth:`Scenario.warm_key`, so a sweep whose grid points differ only in
 traffic, MAC, or measurement settings pays the O(N^2) topology/propagation
 setup once per group rather than once per task.  The warm state is the exact
@@ -39,16 +39,17 @@ __all__ = [
 
 RUN_SCENARIO_PATH = "repro.scenarios.execute.run_scenario"
 
-#: Warm states kept per worker process.  Each holds one placement plus an
-#: N x N float matrix (~2 MB at 500 nodes), so the cap bounds memory while
-#: still covering a handful of interleaved (topology, propagation) groups.
+#: Warm states kept per worker process.  Each holds one placement plus at
+#: most two read-only N x N float matrices (rx power and shadowing, ~2 MB each
+#: at 500 nodes), so the cap bounds memory while still covering a handful of
+#: interleaved (topology, propagation) groups.
 WARM_CACHE_SIZE = 4
 
 _warm_cache: "OrderedDict[Tuple[Any, ...], Any]" = OrderedDict()
 
 
 def _warm_state_for(scenario: Scenario):
-    """This worker's cached (placement, rx matrix) for the scenario's group."""
+    """This worker's cached warm state for the scenario's group."""
     key = scenario.warm_key()
     state = _warm_cache.get(key)
     if state is None:

@@ -22,7 +22,7 @@ from ..control.controllers import controller_rng
 from ..control.env import SimEnv
 from ..networking.forwarding import ForwardingNode, ForwardingQueue
 from ..networking.routing import RouteTable
-from ..propagation.channel import ChannelModel
+from ..propagation.channel import ChannelModel, ShadowingTable
 from ..propagation.pathloss import LogDistancePathLoss
 from ..registry import CONTROLLERS, MACS, TRAFFIC_MODELS
 from ..results import ResultSet
@@ -250,21 +250,30 @@ class Scenario:
         params = tuple(sorted((str(k), repr(v)) for k, v in self.topology_params.items()))
         return tuple(getattr(self, name) for name in self._WARM_FIELDS) + (params,)
 
-    def compute_warm_state(self) -> Tuple[Placement, Any, Dict[Any, float]]:
-        """Precompute the placement, rx-power matrix, and shadowing pairs.
+    def compute_warm_state(
+        self,
+    ) -> Tuple[Placement, np.ndarray, Optional[ShadowingTable]]:
+        """Precompute the placement, rx-power matrix, and shadowing table.
 
         The matrix is byte-for-byte what :meth:`Medium.finalize` would
         compute (same seeded channel, same shadowing draws), so handing it to
         :meth:`build_network` changes wall-clock only, never results.  The
-        per-pair shadowing values consumed by that computation ride along so
-        the warm network's channel answers per-pair queries (oracle SNRs,
-        link budgets) identically to a cold-built one.
+        channel's read-only :class:`ShadowingTable` (``None`` at
+        ``sigma_db == 0``) rides along, so the warm network's channel answers
+        per-pair queries (oracle SNRs, link budgets) identically to a
+        cold-built one.
         """
+        return self._warm_state()
+
+    def _warm_state(self) -> Tuple[Placement, np.ndarray, Optional[ShadowingTable]]:
+        # Shared with cold routed builds, which use the state internally
+        # rather than hand it over.
         placement = self.placement()
-        ids = list(placement.positions)
         channel = self.channel()
-        rx_dbm = Medium.compute_rx_dbm_matrix(channel, ids, placement.positions)
-        return placement, rx_dbm, dict(channel._pair_shadowing_db)
+        rx_dbm = Medium.compute_rx_dbm_matrix(
+            channel, list(placement.positions), placement.positions
+        )
+        return placement, rx_dbm, channel.shadowing_table
 
     def route_table(self, warm: Optional[Tuple[Any, ...]] = None) -> RouteTable:
         """The static shortest-path route table this spec's topology implies.
@@ -308,8 +317,11 @@ class Scenario:
         this spec's :meth:`warm_key`); it skips re-generating the topology
         and re-computing the N x N power matrix when many scenarios share
         one (topology, propagation) group.  A bare ``(placement, rx_dbm)``
-        pair is also accepted.
+        pair is also accepted.  A routed spec built cold computes its warm
+        state itself: the route table and the medium then share one matrix.
         """
+        if warm is None and self.routing is not None:
+            warm = self._warm_state()
         placement = warm[0] if warm is not None else self.placement()
         net = WirelessNetwork(
             channel=self.channel(),

@@ -230,21 +230,20 @@ def scale_free(
         # and a cached all-zero "result" is worse than an error.
         raise ValueError(f"n_hubs ({n_hubs}) must be less than n_nodes ({n_nodes})")
     positions: Dict[str, Position] = {}
-    degrees: List[float] = []
+    # Degrees of nodes 0..index-1 live in degrees[:index].
+    degrees = np.ones(n_nodes)
     if n_hubs == 1:
         # Single-building layout; kept draw-for-draw identical to the
         # original generator so existing seeds reproduce bit-for-bit.
         positions[_node_id(0)] = (extent / 2.0, extent / 2.0)
-        degrees.append(1.0)
     else:
         centres = rng.uniform(0.1 * extent, 0.9 * extent, size=(n_hubs, 2))
         for hub in range(n_hubs):
             positions[_node_id(hub)] = _clip_box(centres[hub, 0], centres[hub, 1], extent)
-            degrees.append(1.0)
     flows_out: List[Tuple[str, str]] = []
-    for index in range(len(degrees), n_nodes):
-        weights = np.asarray(degrees) / float(np.sum(degrees))
-        target = int(rng.choice(len(degrees), p=weights))
+    for index in range(n_hubs, n_nodes):
+        weights = degrees[:index] / float(np.sum(degrees[:index]))
+        target = int(rng.choice(index, p=weights))
         tx, ty = positions[_node_id(target)]
         hop = float(rng.uniform(0.3, 1.0)) * attach_range_frac * extent
         phi = float(rng.uniform(0.0, 2.0 * np.pi))
@@ -252,7 +251,6 @@ def scale_free(
         positions[node] = _clip_box(tx + hop * np.cos(phi), ty + hop * np.sin(phi), extent)
         flows_out.append((node, _node_id(target)))
         degrees[target] += 1.0
-        degrees.append(1.0)
     if flows == "to_root":
         root = _node_id(0)
         flows_out = [(node, root) for node in positions if node != root]

@@ -49,7 +49,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from ..propagation.channel import ChannelModel
+from ..propagation.channel import ChannelModel, ShadowingTable
 from ..units import linear_to_db
 from .engine import Simulator
 from .frames import Frame
@@ -280,25 +280,26 @@ class Medium:
         self,
         ids: List[Hashable],
         rx_dbm: np.ndarray,
-        pair_shadowing_db: Optional[Dict] = None,
+        shadowing: Optional[ShadowingTable] = None,
     ) -> None:
         """Provide a precomputed rx-power matrix for the coming finalisation.
 
         ``ids`` must list every registered node in registration order by the
         time :meth:`finalize` runs, and ``rx_dbm`` must be the matrix
         :meth:`compute_rx_dbm_matrix` would produce for this medium's channel
-        (same channel config and rng seed).  ``pair_shadowing_db`` is the
-        channel's per-pair shadowing cache as populated by that computation;
-        installing it keeps later per-pair queries (``rx_power_dbm`` before
-        finalisation, oracle SNRs, link budgets) consistent with the primed
-        matrix instead of lazily re-drawing different values.
+        (same channel config and rng seed).  ``shadowing`` is the
+        :class:`~repro.propagation.channel.ShadowingTable` that computation
+        drew; the channel adopts it (shared, read-only), so later per-pair
+        queries (``rx_power_dbm`` before finalisation, oracle SNRs, link
+        budgets) agree with the primed matrix instead of lazily re-drawing
+        different values.
 
-        Priming is only sound while the channel's shadowing cache is still
-        untouched: if pairs were already drawn or pinned, the primed state is
-        discarded and finalisation computes everything itself.  The caller
-        must not pin shadowing values between priming and finalisation.
+        Priming is only sound while the channel holds no shadowing yet: if
+        pairs were already drawn or pinned, the primed state is discarded and
+        finalisation computes everything itself.  The caller must not pin
+        shadowing values between priming and finalisation.
         """
-        if self.channel._pair_shadowing_db:
+        if self.channel.holds_shadowing:
             # The channel already has draws/pins the primed matrix cannot
             # account for; refuse the shortcut rather than risk divergence.
             self._primed_ids = None
@@ -306,8 +307,8 @@ class Medium:
             return
         self._primed_ids = tuple(ids)
         self._primed_rx_dbm = np.asarray(rx_dbm, dtype=float)
-        if pair_shadowing_db:
-            self.channel._pair_shadowing_db.update(pair_shadowing_db)
+        if shadowing is not None:
+            self.channel.load_shadowing_table(shadowing)
 
     def _primed_matrix_for(self, ids: List[Hashable]) -> Optional[np.ndarray]:
         if self._primed_rx_dbm is None:

@@ -9,6 +9,8 @@ events, so the only permissible difference is none at all.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.capacity.rates import rate_by_mbps
 from repro.networking import ForwardingQueue, RouteTable
 from repro.scenarios import Scenario, TOPOLOGIES
 from repro.simulation.frames import BROADCAST, FlowTag, Frame, FrameKind
+from repro.simulation.medium import Medium
 from repro.simulation.stats import NodeStats
 
 
@@ -194,6 +197,35 @@ class TestMultiHopScenario:
 
     def test_multihop_run_is_deterministic(self):
         assert multihop_line(seed=7).run().to_bytes() == multihop_line(seed=7).run().to_bytes()
+
+    def test_routed_cold_build_computes_the_rx_matrix_once(self, monkeypatch):
+        """Route table and medium share one matrix; the bytes do not move."""
+        calls = []
+        compute = Medium.compute_rx_dbm_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(Medium, "compute_rx_dbm_matrix", staticmethod(counting))
+        result = Scenario(
+            name="routed",
+            topology="scale_free",
+            n_nodes=40,
+            extent_m=400.0,
+            seed=3,
+            sigma_db=6.0,
+            routing="shortest_path",
+            duration_s=0.05,
+            topology_params={"flows": "to_root"},
+        ).run()
+        assert calls == [40]
+        assert sorted(set(result.hops.tolist())) == [1, 2]
+        # Captured before the route table and the medium shared the matrix.
+        assert hashlib.sha256(result.to_bytes()).hexdigest() == (
+            "9987e17eabf77953cd3c899e5fd551f24898f50563405473f8bfdca10c905d96"
+        )
+        assert result.scenarios[0]["events_processed"] == 698
 
 
 class TestScenarioRoutingSpec:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,17 @@ def test_scale_free_multi_hub_validates_hub_count():
         generate_topology("scale_free", n_nodes=10, extent=100.0, seed=0, n_hubs=10)
     with pytest.raises(ValueError):
         generate_topology("scale_free", n_nodes=10, extent=100.0, seed=0, n_hubs=0)
+
+
+@pytest.mark.parametrize("n_hubs, digest", [(1, "8df8a9641fc9d782"), (6, "8b8042aa47b73f13")])
+def test_scale_free_placement_is_pinned(n_hubs, digest):
+    """Positions and flows, bit for bit, as the generator has always drawn them."""
+    placement = generate_topology(
+        "scale_free", n_nodes=300, extent=2000.0, seed=11, n_hubs=n_hubs,
+        attach_range_frac=0.02,
+    )
+    encoded = repr((list(placement.positions.items()), placement.flows)).encode()
+    assert hashlib.sha256(encoded).hexdigest()[:16] == digest
 
 
 def test_hidden_terminal_geometry():

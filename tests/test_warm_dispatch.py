@@ -30,6 +30,14 @@ def _scenario(**overrides) -> Scenario:
     return Scenario(**base)
 
 
+def _assert_same_shadowing(channel, reference, ids) -> None:
+    """``channel`` answers ``shadowing_db`` like ``reference`` for every
+    pair, asked in reverse of the batch draw order."""
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    for a, b in reversed(pairs):
+        assert channel.shadowing_db(b, a) == reference.shadowing_db(a, b), (a, b)
+
+
 class TestWarmState:
     def test_warm_key_groups_by_topology_and_propagation(self):
         a = _scenario()
@@ -45,27 +53,48 @@ class TestWarmState:
         net, _ = scenario.build_network()
         net.medium.finalize()
         assert np.array_equal(rx_dbm, net.medium._rx_dbm_matrix)
-        assert list(placement.positions) == net.medium.node_ids
-        # The warm shadowing pairs are exactly what the cold channel drew.
-        assert shadowing == net.medium.channel._pair_shadowing_db
+        ids = list(placement.positions)
+        assert ids == net.medium.node_ids
+        # The warm shadowing is exactly what the cold channel drew: a fresh
+        # channel that adopts it answers every pair like the cold one.
+        adopted = scenario.channel()
+        adopted.load_shadowing_table(shadowing)
+        _assert_same_shadowing(adopted, net.medium.channel, ids)
 
     def test_warm_network_answers_per_pair_queries_like_cold(self):
         """Oracle SNR / link-budget paths must not diverge under warm builds."""
         scenario = _scenario()
+        warm_state = scenario.compute_warm_state()
         cold_net, placement = scenario.build_network()
-        warm_net, _ = scenario.build_network(warm=scenario.compute_warm_state())
+        warm_net, _ = scenario.build_network(warm=warm_state)
         cold_net.medium.finalize()
+        ids = list(placement.positions)
+        # The last pair of the batch draw, asked first of a warm network that
+        # has not finalised: a lazy draw would return the batch's first value.
+        fresh_net, _ = scenario.build_network(warm=warm_state)
+        far = (ids[-1], ids[-2])
+        assert fresh_net.medium.channel.shadowing_db(*far) == (
+            cold_net.medium.channel.shadowing_db(*far)
+        )
         warm_net.medium.finalize()
         flows = list(placement.flows)
         assert flows
         for src, dst in flows:
             assert warm_net.link_snr_db(src, dst) == cold_net.link_snr_db(src, dst)
-        # Per-pair channel queries (the lazily-drawn path) agree too, because
-        # priming installs the shadowing cache alongside the matrix.
-        a, b = flows[0]
-        assert warm_net.medium.channel.shadowing_db(a, b) == (
-            cold_net.medium.channel.shadowing_db(a, b)
-        )
+        # Every per-pair channel query agrees too, asked out of draw order.
+        _assert_same_shadowing(warm_net.medium.channel, cold_net.medium.channel, ids)
+
+    def test_prime_refuses_a_channel_holding_shadowing(self):
+        scenario = _scenario()
+        placement, rx_dbm, shadowing = scenario.compute_warm_state()
+        ids = list(placement.positions)
+        net, _ = scenario.build_network()
+        net.medium.channel.set_shadowing_db(ids[0], ids[1], 3.0)
+        net.medium.prime_rx_matrix(ids, rx_dbm, shadowing)
+        assert net.medium.channel.shadowing_table is None
+        net.medium.finalize()
+        assert net.medium.channel.shadowing_db(ids[1], ids[0]) == 3.0
+        assert net.medium._rx_dbm_matrix[0, 1] != rx_dbm[0, 1]
 
     def test_warm_run_is_bit_identical_to_cold(self):
         scenario = _scenario()
