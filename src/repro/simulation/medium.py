@@ -1,49 +1,58 @@
-"""The shared wireless medium.
+"""The shared wireless medium and every radio's receive-side state.
 
 The medium knows every node's position and the channel model, and it is the
 single place where transmissions are turned into received powers at other
-radios.  Starting a transmission registers it with the radios that can
-physically notice it (each sees its own received power); the end of the
-transmission is scheduled on the event engine, at which point each notified
-radio finalises reception or interference bookkeeping.
+radios.  It also owns all per-receiver bookkeeping; a
+:class:`~repro.simulation.radio.Radio` is only the MAC-facing object.
 
 Scaling model
 -------------
-Fanning every frame out to all N radios makes per-transmission cost O(N)
-*Python calls*, which caps simulations at a few hundred nodes.  Instead the
-medium is *finalised* once the topology is complete: the full N x N
+Once the topology is complete the medium is *finalised*: the full N x N
 received-power matrix is computed in one vectorized pass through the
-:class:`~repro.propagation.channel.ChannelModel`.  Each sender's pruned
-notification list -- only the radios whose received power exceeds a
-detectability floor (the noise floor minus ``detectability_margin_db``;
-with the default margin of 16 dB and the default noise floor this lands at
-about -110 dBm) -- is then built lazily on its first transmission, so the
-O(N * degree) Python tuple packing is paid only for nodes that actually
-send.
+:class:`~repro.propagation.channel.ChannelModel`.  Each sender's notification
+row -- the radios whose received power clears a detectability floor, the
+noise floor minus ``detectability_margin_db`` (about -110 dBm by default) --
+is built lazily on its first transmission.  Power below that floor can never
+be locked onto; it only matters as summed background energy, so it is folded
+into one vectorized *active sub-floor power* array (a row add on frame start,
+a subtract on end) that CCA and SINR read as part of their noise term.
+Masked vector ops over that array sample worst-case interference at locked
+radios and fire busy edges caused by sub-floor power alone.  CCA and SINR
+thus see the totals of the unpruned path (``detectability_margin_db=None``);
+only per-frame CCA noise on sub-floor contributions and ``incoming_count``
+differ, so with ``cca_noise_db=0`` pruned and unpruned runs are identical.
 
-Power below that floor can never be locked onto (it is far under preamble
-sensitivity) -- it only ever matters as summed background energy.  So
-instead of notifying sub-floor receivers one Python call at a time, the
-medium folds each transmission's sub-floor contributions into a single
-vectorized *active sub-floor power* array (one SIMD row add on start, one
-subtract on end) that every radio reads as part of its noise term, and
-samples worst-case interference for locked radios the same way.  CCA and
-SINR therefore see exactly the same total power as the unpruned path (up to
-float associativity), while per-transmission Python work is proportional to
-the sender's radio neighbourhood.  Pass ``detectability_margin_db=None`` to
-disable pruning and notify every radio (the reference behaviour used by the
-equivalence tests).
+Receiver state and the receiver pass
+------------------------------------
+A radio gets a *slot* when it registers.  Per slot, plain Python lists hold
+the above-floor power sum, the CCA power sum (with per-frame measurement
+noise), the incoming-frame count, the mutations since the last exact resync,
+the busy verdict, and the lock (transmission, power, capture threshold,
+worst-case interference).  The numpy arrays read by the sub-floor ops are
+written only by the receiver pass.
 
-Two deliberately un-tracked details under pruning: per-frame CCA measurement
-noise is not applied to sub-floor contributions (noise on a negligible term),
-and a radio's ``frames_missed_while_busy`` / ``incoming_count`` only reflect
-above-floor frames.  Neither affects delivered traffic; with
-``cca_noise_db=0`` pruned and unpruned runs produce identical results.
+A frame's start and its end each run one inlined pass over the sender's row
+of ``(radio, slot, mW, dBm, decodable)`` entries (``decodable`` is the static
+test ``dBm >= sensitivity``), with the sub-floor power at those receivers
+gathered once per edge.  CCA and preamble verdicts compare in linear
+milliwatts and take the exact ``10*log10`` only within a 1e-9 relative band
+of the threshold, so an uneventful receiver calls no method; a lock,
+capture, decode or busy flip does.  Callbacks fire per receiver in row
+order, a capture's failed outcome or a decode outcome before that receiver's
+busy edge, and each radio's rng draws CCA noise at frame start and decodes
+at frame end.  The power sums are incremental: an emptied channel resets
+them to exactly 0.0, and every :data:`RESYNC_INTERVAL` mutations ``sum()``
+re-derives them over the live frames in frame-start order.
+
+Callbacks schedule; they never transmit inline.  A pass reads its per-edge
+gathers throughout, so :meth:`Medium.start_transmission` raises
+``RuntimeError`` when called from inside another frame's pass.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -53,12 +62,14 @@ from ..propagation.channel import ChannelModel, ShadowingTable
 from ..units import linear_to_db
 from .engine import Simulator
 from .frames import Frame
+from .phy import ReceptionOutcome
 
 __all__ = [
     "Transmission",
     "Medium",
     "DEFAULT_DETECTABILITY_MARGIN_DB",
     "DEFAULT_MIN_DISTANCE_M",
+    "RESYNC_INTERVAL",
 ]
 
 _transmission_ids = itertools.count()
@@ -79,6 +90,31 @@ DEFAULT_DETECTABILITY_MARGIN_DB: float = 16.0
 #: Transmission finishes between exact resyncs of the active sub-floor
 #: power vector (bounds incremental float drift).
 SUBFLOOR_RESYNC_INTERVAL: int = 4096
+
+#: Receiver mutations (frame starts + ends) between exact power-sum resyncs.
+RESYNC_INTERVAL: int = 1024
+
+#: Relative band around a linear threshold inside which a verdict is taken
+#: with the exact dB comparison instead (far wider than log10 rounding).
+_EXACT_BAND = 1e-9
+
+_np_log10 = np.log10
+
+
+def _lin_to_db_scalar(value_mw: float) -> float:
+    """``float(linear_to_db(x))`` for strictly positive scalars, minus the
+    array/errstate overhead (verified bit-identical for positive inputs)."""
+    return 10.0 * float(_np_log10(value_mw))
+
+
+def linear_threshold(threshold_db: Optional[float]) -> Tuple[float, float, float]:
+    """``(linear, lo, hi)`` for a dB threshold; ``None`` is never crossed.
+
+    A linear value above ``hi`` is surely above the dB threshold and one
+    below ``lo`` surely under it; in between, decide with the exact dB value.
+    """
+    linear = math.inf if threshold_db is None else float(10.0 ** (threshold_db / 10.0))
+    return linear, linear * (1.0 - _EXACT_BAND), linear * (1.0 + _EXACT_BAND)
 
 
 @dataclass(slots=True)
@@ -116,34 +152,21 @@ class Medium:
     """
 
     __slots__ = (
-        "sim",
-        "channel",
-        "min_distance_m",
-        "detectability_margin_db",
-        "active_transmissions",
-        "_positions",
-        "_radios",
-        "_rx_power_cache",
-        "_primed_ids",
-        "_primed_rx_dbm",
-        "_finalized",
-        "_index",
-        "_rx_dbm_matrix",
-        "_rx_mw_matrix",
-        "_notify",
-        "_subfloor_rows",
-        "_subfloor_masks",
-        "_row_built",
-        "_subfloor_active_mw",
-        "_above_sum_mw",
-        "_locked_mask",
-        "_locked_power_mw",
-        "_locked_max_interference_mw",
-        "_cca_live_mw",
-        "_cca_threshold_mw",
-        "_busy_mirror",
-        "_slot_radios",
-        "_finishes_since_resync",
+        # configuration and topology
+        "sim", "channel", "min_distance_m", "detectability_margin_db", "active_transmissions",
+        "_positions", "_radios", "_index", "_rx_power_cache", "_primed_ids", "_primed_rx_dbm",
+        "_finalized", "_noise_floor_mw", "_rx_dbm_matrix", "_rx_mw_matrix",
+        # per-sender tables
+        "_notify", "_notify_mw", "_gather", "_subfloor_rows", "_subfloor_masks", "_row_built",
+        # per-slot receiver state and reception constants
+        "_slot_radios", "_rx_sum_mw", "_cca_sum_mw", "_incoming", "_mutations", "_busy",
+        "_lock_tx", "_lock_mw", "_capture_dbm", "_lock_max_mw",
+        "_preamble_lo", "_preamble_hi", "_capture_margin_db", "_cca_noise_db", "_frame_cca_mw",
+        # arrays for the O(N) sub-floor ops
+        "_subfloor_live", "_subfloor_active_mw", "_finishes_since_resync", "_locked_mask",
+        "_locked_power_mw", "_locked_above_mw", "_locked_subfloor_max_mw", "_cca_live_mw",
+        "_busy_mirror", "_cca_threshold_mw", "_thresholds_stale",
+        "_in_pass",
     )
 
     def __init__(
@@ -161,45 +184,48 @@ class Medium:
         self.detectability_margin_db = detectability_margin_db
         self._positions: Dict[Hashable, Position] = {}
         self._radios: Dict[Hashable, "Radio"] = {}
+        self._index: Dict[Hashable, int] = {}
         self._rx_power_cache: Dict[Tuple[Hashable, Hashable], float] = {}
         self.active_transmissions: Dict[int, Transmission] = {}
         # Optional precomputed rx-power matrix (see prime_rx_matrix).
         self._primed_ids: Optional[Tuple[Hashable, ...]] = None
         self._primed_rx_dbm: Optional[np.ndarray] = None
-
-        # Populated by finalize().
+        self._noise_floor_mw = float(channel.noise_floor_mw)
         self._finalized = False
-        self._index: Dict[Hashable, int] = {}
         self._rx_dbm_matrix: Optional[np.ndarray] = None
         self._rx_mw_matrix: Optional[np.ndarray] = None
-        # Per-sender notification table: (radio, power_mw, power_dbm) per
-        # audible receiver.  The dBm value is precomputed when the row is
-        # built so the per-frame deliver path never converts units.  Rows
-        # are built *lazily*, on a sender's first transmission: finalisation
-        # computes only the vectorized N x N matrices, and the Python-level
-        # tuple packing -- the O(N * degree) part -- is paid per actual
-        # sender, so pure receivers (most nodes of a typical scenario)
-        # never pay it.
-        self._notify: List[Optional[List[Tuple["Radio", float, float]]]] = []
-        # Per-sender sub-floor contributions (zero where above floor / self),
-        # None for senders every receiver can hear; built with the notify row.
+        # Per-sender tables, built lazily by _sender_tables(): the notify row,
+        # its powers in mW, its receiver slots as an index array, and the
+        # sub-floor row and mask (None where every receiver is audible).
+        self._notify: List[Optional[List[tuple]]] = []
+        self._notify_mw: List[Optional[List[float]]] = []
+        self._gather: List[Optional[np.ndarray]] = []
         self._subfloor_rows: List[Optional[np.ndarray]] = []
         self._subfloor_masks: List[Optional[np.ndarray]] = []
         self._row_built: List[bool] = []
-        # Live vectorized state, one slot per radio.
-        self._subfloor_active_mw: np.ndarray = np.zeros(0)
-        self._above_sum_mw: np.ndarray = np.zeros(0)
-        self._locked_mask: np.ndarray = np.zeros(0, dtype=bool)
-        self._locked_power_mw: np.ndarray = np.zeros(0)
-        self._locked_max_interference_mw: np.ndarray = np.zeros(0)
-        # Mirrors for the busy-edge check: per-slot CCA power sums, linear
-        # CCA thresholds (inf where carrier sense is disabled; captured at
-        # finalisation), and each radio's last busy/idle verdict.
-        self._cca_live_mw: np.ndarray = np.zeros(0)
-        self._cca_threshold_mw: np.ndarray = np.zeros(0)
-        self._busy_mirror: np.ndarray = np.zeros(0, dtype=bool)
+        # Per-slot receiver state, appended by register().
         self._slot_radios: List["Radio"] = []
-        self._finishes_since_resync = 0
+        self._rx_sum_mw: List[float] = []
+        self._cca_sum_mw: List[float] = []
+        self._incoming: List[int] = []
+        self._mutations: List[int] = []
+        self._busy: List[bool] = []
+        self._lock_tx: List[Optional[Transmission]] = []
+        self._lock_mw: List[float] = []
+        #: The locked frame's dBm plus the capture margin: what a new frame
+        #: needs to steal the lock.
+        self._capture_dbm: List[float] = []
+        self._lock_max_mw: List[float] = []
+        # Per-slot reception constants, read from each radio at finalisation.
+        self._preamble_lo: List[float] = []
+        self._preamble_hi: List[float] = []
+        self._capture_margin_db: List[float] = []
+        self._cca_noise_db: Optional[List[float]] = None  # None: no radio is noisy
+        # tx_id -> CCA power per row entry, for the frame's end and resyncs.
+        self._frame_cca_mw: Dict[int, List[float]] = {}
+        # The arrays for the O(N) sub-floor ops are allocated by finalize().
+        self._thresholds_stale = True
+        self._in_pass = False
 
     # -- topology ---------------------------------------------------------------
 
@@ -211,17 +237,17 @@ class Medium:
             raise RuntimeError("cannot register a radio while frames are in flight")
         self._positions[node_id] = (float(position[0]), float(position[1]))
         self._radios[node_id] = radio
-        self._invalidate()
-
-    def _invalidate(self) -> None:
+        self._index[node_id] = radio._slot = len(self._slot_radios)
+        self._slot_radios.append(radio)
+        for column, initial in (
+            (self._rx_sum_mw, 0.0), (self._cca_sum_mw, 0.0), (self._incoming, 0),
+            (self._mutations, 0), (self._busy, False), (self._lock_tx, None),
+            (self._lock_mw, 0.0), (self._capture_dbm, math.inf), (self._lock_max_mw, 0.0),
+        ):
+            column.append(initial)
         self._finalized = False
-        self._index = {}
         self._rx_dbm_matrix = None
         self._rx_mw_matrix = None
-        self._notify = []
-        self._subfloor_rows = []
-        self._subfloor_masks = []
-        self._row_built = []
 
     @property
     def node_ids(self) -> list:
@@ -324,106 +350,116 @@ class Medium:
         """Freeze the topology: batch-compute the rx-power matrices.
 
         Called automatically by the first :meth:`start_transmission`; safe to
-        call again (a no-op once finalised, re-run after new registrations).
+        call again (a no-op once finalised, re-run after new registrations,
+        which can only happen while no frame is in flight).
 
         Finalisation does only the vectorized work (the N x N dBm and
-        milliwatt matrices plus per-slot state); the per-sender notification
-        and sub-floor tables -- Python tuple packing proportional to each
-        sender's audible neighbourhood -- are built lazily by
-        :meth:`_sender_tables` on a sender's first transmission, so network
-        construction no longer pays O(N * degree) for nodes that never
-        transmit.
+        milliwatt matrices) and reads each radio's reception constants; the
+        per-sender notification and sub-floor tables are built lazily by
+        :meth:`_sender_tables` on a sender's first transmission.
         """
         if self._finalized:
             return
         ids = list(self._radios)
-        self._index = {node_id: i for i, node_id in enumerate(ids)}
         n = len(ids)
-        radios = [self._radios[node_id] for node_id in ids]
+        radios = self._slot_radios
+        preamble = [linear_threshold(r.reception.preamble_snr_threshold_db) for r in radios]
+        self._preamble_lo = [lo for _, lo, _ in preamble]
+        self._preamble_hi = [hi for _, _, hi in preamble]
+        self._capture_margin_db = [r.reception.capture_margin_db for r in radios]
+        noise = [r.cca_noise_db for r in radios]
+        self._cca_noise_db = noise if any(noise) else None
 
         self._subfloor_active_mw = np.zeros(n)
-        self._above_sum_mw = np.zeros(n)
+        self._finishes_since_resync = 0
         self._locked_mask = np.zeros(n, dtype=bool)
         self._locked_power_mw = np.zeros(n)
-        self._locked_max_interference_mw = np.zeros(n)
-        self._cca_live_mw = np.zeros(n)
-        self._cca_threshold_mw = np.full(n, np.inf)
-        self._busy_mirror = np.zeros(n, dtype=bool)
-        self._slot_radios = radios
-        self._finishes_since_resync = 0
-
+        self._locked_above_mw = np.zeros(n)  # kept current for locked slots only
+        self._locked_subfloor_max_mw = np.zeros(n)
+        self._thresholds_stale = True
+        # Set once some sender has a sub-floor row (see _sender_tables): only
+        # then do the busy-edge ops run, so only then does the pass keep
+        # _cca_live_mw and _busy_mirror current.
+        self._subfloor_live = False
         self._notify = [None] * n
+        self._notify_mw = [None] * n
+        self._gather = [None] * n
         self._subfloor_rows = [None] * n
         self._subfloor_masks = [None] * n
         self._row_built = [False] * n
 
-        if n == 0:
-            self._rx_dbm_matrix = np.zeros((0, 0))
-            self._rx_mw_matrix = np.zeros((0, 0))
-            self._finalized = True
-            return
-
-        rx_dbm = self._primed_matrix_for(ids)
+        rx_dbm = self._primed_matrix_for(ids) if n else np.zeros((0, 0))
         if rx_dbm is None:
             rx_dbm = self.compute_rx_dbm_matrix(
                 self.channel, ids, self._positions, self.min_distance_m
             )
-        rx_mw = np.power(10.0, rx_dbm / 10.0)  # diagonal decays to exactly 0
-
-        for slot, radio in enumerate(radios):
-            radio._attach_slot(slot)
-
         self._rx_dbm_matrix = rx_dbm
-        self._rx_mw_matrix = rx_mw
+        self._rx_mw_matrix = np.power(10.0, rx_dbm / 10.0)  # diagonal decays to exactly 0
         self._finalized = True
 
-    def _sender_tables(
-        self, slot: int
-    ) -> Tuple[List[Tuple["Radio", float, float]], Optional[np.ndarray], Optional[np.ndarray]]:
-        """The (notify row, sub-floor row, sub-floor mask) for one sender slot,
-        built on first use.
+    def _sender_tables(self, slot: int) -> List[tuple]:
+        """The notify row of one sender slot, built (with the sender's other
+        tables) on first use.
 
-        The values are exactly what eager finalisation used to produce: the
-        audible set from the dBm matrix against the detectability floor, and
-        per-link dBm through :func:`linear_to_db` of the milliwatt row (a
-        round trip through linear milliwatts, deliberately NOT the dBm
-        matrix, whose floats differ in the last ulp).
+        The audible set comes from the dBm matrix against the detectability
+        floor; per-link dBm goes through :func:`linear_to_db` of the milliwatt
+        row (a round trip through linear milliwatts, deliberately NOT the dBm
+        matrix, whose floats differ in the last ulp).  Both conversions run
+        over the audible entries only.
         """
         if not self._row_built[slot]:
             rx_dbm_row = self._rx_dbm_matrix[slot]
-            rx_mw_row = self._rx_mw_matrix[slot]
-            n = len(rx_mw_row)
             floor = self.detectability_floor_dbm
             if floor is None:
-                audible = [j for j in range(n) if j != slot]
+                audible = np.ones(len(rx_dbm_row), dtype=bool)
             else:
-                below = rx_dbm_row < floor
-                below[slot] = False  # a sender never interferes with itself
-                audible = np.nonzero(~below)[0].tolist()
-                audible.remove(slot)
-                if below.any():
-                    self._subfloor_rows[slot] = np.where(below, rx_mw_row, 0.0)
-                    self._subfloor_masks[slot] = below
-            # Both rows drop to Python-float lists once, so the tuple packing
-            # avoids per-element numpy scalar extraction.
-            row_mw = rx_mw_row.tolist()
-            row_dbm = linear_to_db(rx_mw_row).tolist()
+                audible = rx_dbm_row >= floor
+            audible[slot] = False  # a sender never hears (or interferes with) itself
+            below = ~audible
+            below[slot] = False
+            if below.any():
+                self._subfloor_rows[slot] = np.where(below, self._rx_mw_matrix[slot], 0.0)
+                self._subfloor_masks[slot] = below
+                if not self._subfloor_live:
+                    self._subfloor_live = True
+                    self._cca_live_mw = np.array(self._cca_sum_mw, dtype=float)
+                    self._busy_mirror = np.array(self._busy, dtype=bool)
+            gather = np.flatnonzero(audible)
+            row_mw_array = self._rx_mw_matrix[slot, gather]
+            row_mw = row_mw_array.tolist()
             radios = self._slot_radios
-            self._notify[slot] = [(radios[j], row_mw[j], row_dbm[j]) for j in audible]
+            self._notify[slot] = [
+                (radios[j], j, mw, dbm, dbm >= radios[j].reception.sensitivity_dbm)
+                for j, mw, dbm in zip(gather.tolist(), row_mw, linear_to_db(row_mw_array).tolist())
+            ]
+            self._notify_mw[slot] = row_mw
+            self._gather[slot] = gather
             self._row_built[slot] = True
-        return self._notify[slot], self._subfloor_rows[slot], self._subfloor_masks[slot]
+        return self._notify[slot]
 
     def neighborhood(self, src: Hashable) -> List[Hashable]:
         """Node ids notified per-frame when ``src`` transmits (after finalisation)."""
         self.finalize()
-        notify, _, _ = self._sender_tables(self._index[src])
-        return [entry[0].node_id for entry in notify]
+        return [entry[0].node_id for entry in self._sender_tables(self._index[src])]
 
-    # -- vectorized per-slot state (used by Radio) -------------------------------
+    # -- per-slot queries (read by Radio) ----------------------------------------
 
     def subfloor_noise_mw(self, slot: int) -> float:
         """Currently-active sub-floor power arriving at the given radio slot."""
-        return float(self._subfloor_active_mw[slot])
+        return float(self._subfloor_active_mw[slot]) if self._finalized else 0.0
+
+    def channel_busy(self, slot: int) -> bool:
+        """The exact CCA verdict of one slot against its radio's threshold."""
+        sub = self.subfloor_noise_mw(slot)
+        if not self._incoming[slot] and sub == 0.0:
+            return False
+        radio = self._slot_radios[slot]
+        sensed = self._cca_sum_mw[slot] + sub + self._noise_floor_mw
+        return sensed > radio._cca_hi_mw or (
+            sensed >= radio._cca_lo_mw and _lin_to_db_scalar(sensed) > radio._cca_threshold_dbm
+        )
+
+    # -- sub-floor vector ops --------------------------------------------------
 
     def _resync_subfloor(self) -> None:
         """Recompute the active sub-floor vector exactly (bounds float drift)."""
@@ -440,22 +476,55 @@ class Medium:
                 total += row
         self._subfloor_active_mw = total
 
-    def _sync_subfloor_busy_edges(self, mask: np.ndarray) -> None:
-        """Fire busy/idle callbacks on radios whose CCA verdict was flipped by
-        a sub-floor power change.
+    def _sample_locked_subfloor(self, below: np.ndarray) -> None:
+        """Raise the worst-case interference of locked radios that hear the
+        starting frame only as sub-floor energy.
 
-        Per-frame notifications only reach above-floor receivers, so a MAC
-        waiting on ``on_channel_idle`` would otherwise stall if aggregate
-        sub-floor power alone ever crossed its CCA threshold (possible with a
-        small ``detectability_margin_db`` and many concurrent far senders).
-        One vectorized compare finds candidate flips; only those radios pay a
-        Python call, which re-derives the exact verdict.
+        The unpruned path samples it at *every* frame start a locked radio
+        sees; one masked op covers the radios the notify row skips.  These
+        samples keep their own running max, which the verdict combines with
+        the pass's (max is exact, so the split changes no bit).
+        """
+        mask = self._locked_mask & below
+        if mask.any():
+            interference = (
+                self._locked_above_mw[mask]
+                + self._subfloor_active_mw[mask]
+                - self._locked_power_mw[mask]
+            )
+            np.maximum(self._locked_subfloor_max_mw[mask], interference, out=interference)
+            self._locked_subfloor_max_mw[mask] = interference
+
+    def _sync_subfloor_busy_edges(self, below: np.ndarray) -> None:
+        """Fire busy/idle edges on radios whose CCA verdict was flipped by a
+        sub-floor power change.
+
+        Per-frame passes only reach above-floor receivers, so a MAC waiting on
+        ``on_channel_idle`` would otherwise stall if aggregate sub-floor power
+        alone ever crossed its CCA threshold (possible with a small
+        ``detectability_margin_db`` and many concurrent far senders).  One
+        vectorized compare finds candidate flips; only those re-derive the
+        exact verdict.
         """
         live = self._cca_live_mw + self._subfloor_active_mw
-        busy = (live > 0.0) & (live + self.noise_floor_mw > self._cca_threshold_mw)
-        changed = np.nonzero(mask & (busy != self._busy_mirror))[0]
-        for slot in changed:
-            self._slot_radios[slot]._update_busy_state()
+        busy = (live > 0.0) & (live + self._noise_floor_mw > self._cca_thresholds_mw())
+        for slot in np.flatnonzero(below & (busy != self._busy_mirror)).tolist():
+            verdict = self.channel_busy(slot)
+            if verdict is not self._busy[slot]:
+                self._set_busy(self._slot_radios[slot], slot, verdict)
+
+    def _cca_thresholds_mw(self) -> np.ndarray:
+        """Per-slot linear CCA thresholds, rebuilt after a radio changed its own."""
+        if self._thresholds_stale:
+            self._cca_threshold_mw = np.array([r._cca_threshold_mw for r in self._slot_radios])
+            self._thresholds_stale = False
+        return self._cca_threshold_mw
+
+    def _subfloor_at(self, slot: int):
+        """Sub-floor power at each receiver of a sender's row, as floats."""
+        if not self._subfloor_live:
+            return itertools.repeat(0.0)
+        return self._subfloor_active_mw[self._gather[slot]].tolist()
 
     # -- static link queries ---------------------------------------------------
 
@@ -483,10 +552,87 @@ class Medium:
     def noise_floor_mw(self) -> float:
         return self.channel.noise_floor_mw
 
+    # -- receiver events (the pass's method calls) ------------------------------
+
+    def _set_busy(self, radio: "Radio", slot: int, busy: bool) -> None:
+        self._busy[slot] = busy
+        if self._subfloor_live:
+            self._busy_mirror[slot] = busy
+        radio._channel_edge(busy)
+
+    def _lock(
+        self, slot: int, tx: Transmission, mw: float, dbm: float, interference: float
+    ) -> None:
+        self._lock_tx[slot] = tx
+        self._lock_mw[slot] = mw
+        self._capture_dbm[slot] = dbm + self._capture_margin_db[slot]
+        self._lock_max_mw[slot] = interference
+        self._locked_mask[slot] = True
+        self._locked_power_mw[slot] = mw
+        self._locked_above_mw[slot] = self._rx_sum_mw[slot]
+        self._locked_subfloor_max_mw[slot] = -math.inf
+
+    def _lock_max_interference_mw(self, slot: int) -> float:
+        return max(self._lock_max_mw[slot], float(self._locked_subfloor_max_mw[slot]))
+
+    def _unlock(self, slot: int) -> None:
+        self._lock_tx[slot] = None
+        self._locked_mask[slot] = False
+
+    def _capture(self, radio: "Radio", slot: int, tx: Transmission, mw: float, dbm: float,
+                 rx_sum: float, sub: float) -> None:
+        """Physical-layer capture: the stronger frame steals the lock and the
+        frame received so far is lost.  The displaced frame still gets a
+        (failed) outcome so link-level failure accounting matches the radio
+        counters."""
+        displaced = self._lock_tx[slot]
+        lock_mw = self._lock_mw[slot]
+        interference = max(self._lock_max_interference_mw(slot), rx_sum - lock_mw + sub)
+        sinr_db = _lin_to_db_scalar(lock_mw / (self._noise_floor_mw + interference))
+        radio.stats.frames_failed += 1
+        self._lock(slot, tx, mw, dbm, rx_sum - mw + sub)
+        radio.on_frame_received(
+            ReceptionOutcome(
+                frame=displaced.frame, success=False, sinr_db=sinr_db, success_probability=0.0
+            )
+        )
+
+    def _decode(self, radio: "Radio", slot: int, tx: Transmission) -> None:
+        sinr_db = _lin_to_db_scalar(
+            self._lock_mw[slot] / (self._noise_floor_mw + self._lock_max_interference_mw(slot))
+        )
+        outcome = radio.reception.decide(tx.frame, sinr_db, radio.rng)
+        if outcome.success:
+            radio.stats.frames_decoded += 1
+        else:
+            radio.stats.frames_failed += 1
+        self._unlock(slot)
+        radio.on_frame_received(outcome)
+
+    def _resync_slot(self, slot: int) -> None:
+        """Re-derive one receiver's power sums exactly: ``sum()`` over its live
+        frames in frame-start order (the order of ``active_transmissions``)."""
+        powers, cca_powers = [], []
+        for tx in self.active_transmissions.values():
+            row = self._notify[self._index[tx.src]]
+            for i, entry in enumerate(row):
+                if entry[1] == slot:
+                    powers.append(entry[2])
+                    cca_powers.append(self._frame_cca_mw[tx.tx_id][i])
+                    break
+        self._rx_sum_mw[slot] = sum(powers)
+        self._cca_sum_mw[slot] = sum(cca_powers)
+        self._mutations[slot] = 0
+
     # -- transmission lifecycle ---------------------------------------------------
 
     def start_transmission(self, src: Hashable, frame: Frame) -> Transmission:
         """Put a frame on the air from ``src``; returns the transmission record."""
+        if self._in_pass:
+            raise RuntimeError(
+                f"node {src!r} started a transmission inside another frame's receiver "
+                "pass: MAC callbacks must schedule transmissions, never start them inline"
+            )
         if src not in self._radios:
             raise KeyError(f"unknown source node {src!r}")
         self.finalize()
@@ -496,56 +642,144 @@ class Medium:
         )
         self.active_transmissions[tx.tx_id] = tx
         src_slot = self._index[src]
+        row = self._sender_tables(src_slot)
+        below = self._subfloor_masks[src_slot]
+        if below is not None:
+            self._subfloor_active_mw += self._subfloor_rows[src_slot]
+            self._sample_locked_subfloor(below)
+        noise_db = self._cca_noise_db
+        cca_powers = self._notify_mw[src_slot] if noise_db is None else []
+        self._frame_cca_mw[tx.tx_id] = cca_powers
 
-        notify, subfloor, _ = self._sender_tables(src_slot)
-        if subfloor is not None:
-            self._subfloor_active_mw += subfloor
-            # The unpruned path samples worst-case interference at *every*
-            # frame start seen by a locked radio; replicate that for radios
-            # that only hear this frame as sub-floor energy, in one masked op.
-            mask = self._locked_mask & self._subfloor_masks[src_slot]
-            if mask.any():
-                interference = (
-                    self._above_sum_mw[mask]
-                    + self._subfloor_active_mw[mask]
-                    - self._locked_power_mw[mask]
-                )
-                np.maximum(
-                    self._locked_max_interference_mw[mask],
-                    interference,
-                    out=interference,
-                )
-                self._locked_max_interference_mw[mask] = interference
+        nf = self._noise_floor_mw
+        rx_sum, cca_sum, incoming, mutations = (
+            self._rx_sum_mw, self._cca_sum_mw, self._incoming, self._mutations
+        )
+        lock_tx, lock_mw, lock_max = self._lock_tx, self._lock_mw, self._lock_max_mw
+        locked_above = self._locked_above_mw
+        capture_dbm, busy_now = self._capture_dbm, self._busy
+        preamble_lo, preamble_hi = self._preamble_lo, self._preamble_hi
+        mirror = self._cca_live_mw if self._subfloor_live else None
+        self._in_pass = True
+        try:
+            for (radio, j, mw, dbm, decodable), sub in zip(row, self._subfloor_at(src_slot)):
+                rxs = rx_sum[j] + mw
+                rx_sum[j] = rxs
+                cca = mw
+                if noise_db is not None:
+                    if noise_db[j] > 0:
+                        cca *= float(10.0 ** (radio.rng.normal(0.0, noise_db[j]) / 10.0))
+                    cca_powers.append(cca)
+                ccs = cca_sum[j] + cca
+                cca_sum[j] = ccs
+                incoming[j] += 1
+                mutation = mutations[j] + 1
+                if mutation < RESYNC_INTERVAL:
+                    mutations[j] = mutation
+                else:
+                    self._resync_slot(j)
+                    rxs, ccs = rx_sum[j], cca_sum[j]
+                if mirror is not None:
+                    mirror[j] = ccs
 
-        for radio, power_mw, power_dbm in notify:
-            radio.incoming_started(tx, power_mw, power_dbm)
-        if subfloor is not None:
-            self._sync_subfloor_busy_edges(self._subfloor_masks[src_slot])
+                if radio._transmitting is not None:
+                    radio.stats.frames_missed_while_busy += 1
+                elif lock_tx[j] is None:
+                    if decodable:
+                        interference = rxs - mw + sub
+                        ratio = mw / (nf + interference)
+                        if ratio >= preamble_hi[j] or (
+                            ratio >= preamble_lo[j]
+                            and _lin_to_db_scalar(ratio)
+                            >= radio.reception.preamble_snr_threshold_db
+                        ):
+                            self._lock(j, tx, mw, dbm, interference)
+                elif decodable and dbm >= capture_dbm[j]:
+                    self._capture(radio, j, tx, mw, dbm, rxs, sub)
+                else:
+                    locked_above[j] = rxs
+                    interference = rxs - lock_mw[j] + sub
+                    if interference > lock_max[j]:
+                        lock_max[j] = interference
+
+                sensed = ccs + sub + nf
+                busy = sensed > radio._cca_hi_mw or (
+                    sensed >= radio._cca_lo_mw
+                    and _lin_to_db_scalar(sensed) > radio._cca_threshold_dbm
+                )
+                if busy is not busy_now[j]:
+                    self._set_busy(radio, j, busy)
+            if below is not None:
+                self._sync_subfloor_busy_edges(below)
+        finally:
+            self._in_pass = False
         self.sim.schedule_call(duration, lambda: self._finish_transmission(tx))
         return tx
 
     def _finish_transmission(self, tx: Transmission) -> None:
         del self.active_transmissions[tx.tx_id]
+        cca_powers = self._frame_cca_mw.pop(tx.tx_id)
         src_slot = self._index[tx.src]
-        # The sender's tables were built when its transmission started.
-        subfloor = self._subfloor_rows[src_slot]
-        if subfloor is not None:
-            self._subfloor_active_mw -= subfloor
+        below = self._subfloor_masks[src_slot]
+        if below is not None:
+            self._subfloor_active_mw -= self._subfloor_rows[src_slot]
             self._finishes_since_resync += 1
             if (
                 self._finishes_since_resync >= SUBFLOOR_RESYNC_INTERVAL
                 or not self.active_transmissions
             ):
                 self._resync_subfloor()
-        for entry in self._notify[src_slot]:
-            entry[0].incoming_ended(tx)
-        if subfloor is not None:
-            self._sync_subfloor_busy_edges(self._subfloor_masks[src_slot])
-        self._radios[tx.src].transmit_finished(tx)
 
-    def busy_fraction_estimate(self) -> float:
-        """Fraction of radios currently observing an active (audible) transmission."""
-        if not self._radios:
-            return 0.0
-        busy = sum(1 for radio in self._radios.values() if radio.incoming_count > 0)
-        return busy / len(self._radios)
+        nf = self._noise_floor_mw
+        rx_sum, cca_sum, incoming, mutations = (
+            self._rx_sum_mw, self._cca_sum_mw, self._incoming, self._mutations
+        )
+        lock_tx, busy_now, locked_above = self._lock_tx, self._busy, self._locked_above_mw
+        mirror = self._cca_live_mw if self._subfloor_live else None
+        self._in_pass = True
+        try:
+            for (radio, j, mw, _dbm, _decodable), sub, cca in zip(
+                self._notify[src_slot], self._subfloor_at(src_slot), cca_powers
+            ):
+                remaining = incoming[j] - 1
+                incoming[j] = remaining
+                if remaining:
+                    rxs = rx_sum[j] - mw
+                    rx_sum[j] = rxs
+                    ccs = cca_sum[j] - cca
+                    cca_sum[j] = ccs
+                    mutation = mutations[j] + 1
+                    if mutation < RESYNC_INTERVAL:
+                        mutations[j] = mutation
+                    else:
+                        self._resync_slot(j)
+                        rxs, ccs = rx_sum[j], cca_sum[j]
+                else:
+                    # An emptied channel is the cheapest exact state: reset
+                    # outright so drift can never outlive a quiet moment.
+                    rx_sum[j] = cca_sum[j] = rxs = ccs = 0.0
+                    mutations[j] = 0
+                if mirror is not None:
+                    mirror[j] = ccs
+
+                locked = lock_tx[j]
+                if locked is tx:
+                    self._decode(radio, j, tx)
+                elif locked is not None:
+                    locked_above[j] = rxs
+
+                if remaining or sub != 0.0:
+                    sensed = ccs + sub + nf
+                    busy = sensed > radio._cca_hi_mw or (
+                        sensed >= radio._cca_lo_mw
+                        and _lin_to_db_scalar(sensed) > radio._cca_threshold_dbm
+                    )
+                else:
+                    busy = False
+                if busy is not busy_now[j]:
+                    self._set_busy(radio, j, busy)
+            if below is not None:
+                self._sync_subfloor_busy_edges(below)
+        finally:
+            self._in_pass = False
+        self._radios[tx.src].transmit_finished(tx)

@@ -1,8 +1,6 @@
-"""Radio model: carrier sense, transmission, and frame reception.
+"""Radio model: the MAC-facing half of carrier sense, transmission and reception.
 
-Each node owns one :class:`Radio`.  The radio keeps track of every
-transmission currently arriving at it (with its received power), which gives
-it the two capabilities the MAC needs:
+Each node owns one :class:`Radio`.  It gives the MAC:
 
 * **clear channel assessment (CCA)** -- the total in-band power compared to a
   configurable threshold (``cca_threshold_dbm``); setting the threshold to
@@ -11,60 +9,37 @@ it the two capabilities the MAC needs:
 * **reception** -- the radio locks onto the first detectable frame that
   starts while it is unlocked and not transmitting, accumulates the worst-case
   interference seen during the frame, and asks the :class:`ReceptionModel`
-  for a verdict when the frame ends.
+  for a verdict when the frame ends;
+* **transmission** -- half-duplex: transmitting aborts a reception in
+  progress.
 
-The total sensed and interfering powers are maintained *incrementally* (one
-add per frame start, one subtract per frame end) rather than re-summed on
-every CCA query, so carrier sense stays O(1) no matter how many frames
-overlap.  Incremental float sums drift, so the radio re-derives both
-accumulators exactly from the per-frame dicts whenever the channel empties
-and, as a backstop, every ``RESYNC_INTERVAL`` mutations.
-
-Under the medium's neighbourhood pruning the radio only receives per-frame
-notifications for transmissions above the detectability floor; the summed
-power of everything below it arrives through the medium's vectorized active
-sub-floor array (``Medium.subfloor_noise_mw``), which the radio folds into
-every CCA and SINR computation so totals match the unpruned path.
-
-Hot-path layout: the class uses ``__slots__``, the medium hands each
-notification the link's received power in *both* milliwatts and dBm (the dBm
-value comes from a table precomputed at finalisation, so the per-frame path
-never converts units), and the remaining dynamic dB conversions (SINR at
-decode time, CCA verdicts) go through :func:`_lin_to_db_scalar`, a lean
-scalar equivalent of :func:`repro.units.linear_to_db` that skips the array
-coercion and errstate machinery while producing bit-identical values for
-positive inputs.
-
-State-change notifications (channel busy/idle, frame received, transmission
-finished) are delivered to the owning MAC through callback attributes, which
-the MAC sets when it attaches.
+The radio holds no per-frame state.  Its power sums, incoming-frame count,
+busy verdict and lock live in the :class:`~repro.simulation.medium.Medium`,
+indexed by the slot the radio gets at registration, and they are updated by
+the medium's receiver pass at every frame start and end (see the medium's
+module docstring).  The radio keeps its configuration (threshold, CCA noise,
+reception model, rng), its counters, and the callbacks the pass fires:
+channel busy/idle, frame received, transmission finished.  Callbacks fire in
+the pass's receiver order, a capture's or decode's outcome before that
+radio's busy edge, and they must schedule any transmission rather than start
+one inline.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional
+from typing import Callable, Hashable, Optional
 
 import numpy as np
 
 from .engine import Simulator
 from .frames import Frame
-from .medium import Medium, Transmission
+from .medium import Medium, Transmission, _lin_to_db_scalar, linear_threshold
 from .phy import ReceptionModel, ReceptionOutcome
 
-__all__ = ["Radio", "RadioStats", "RESYNC_INTERVAL"]
-
-#: Mutations (frame starts + ends) between exact accumulator resyncs.
-RESYNC_INTERVAL: int = 1024
-
-_np_log10 = np.log10
-
-
-def _lin_to_db_scalar(value_mw: float) -> float:
-    """``float(linear_to_db(x))`` for strictly positive scalars, minus the
-    array/errstate overhead (verified bit-identical for positive inputs)."""
-    return 10.0 * float(_np_log10(value_mw))
+__all__ = ["Radio", "RadioStats"]
 
 
 def _default_rng(node_id: Hashable) -> np.random.Generator:
@@ -106,26 +81,17 @@ class Radio:
         "reception",
         "_slot",
         "_cca_threshold_dbm",
-        "cca_noise_db",
+        "_cca_threshold_mw",
+        "_cca_lo_mw",
+        "_cca_hi_mw",
+        "_cca_noise_db",
         "rng",
         "stats",
-        "_noise_floor_mw",
-        "_incoming_power_mw",
-        "_incoming_cca_power_mw",
-        "_incoming_tx",
-        "_rx_sum_mw",
-        "_cca_sum_mw",
-        "_mutations_since_resync",
         "_transmitting",
-        "_locked",
-        "_locked_power_mw",
-        "_locked_power_dbm",
-        "_locked_max_interference_local_mw",
         "on_channel_busy",
         "on_channel_idle",
         "on_frame_received",
         "on_transmit_complete",
-        "_was_busy",
         "_busy_accum_s",
         "_busy_since",
     )
@@ -140,39 +106,26 @@ class Radio:
         cca_noise_db: float = 2.0,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
+        if not (math.isfinite(cca_noise_db) and cca_noise_db >= 0):
+            raise ValueError(
+                f"radio {node_id!r}: cca_noise_db must be finite and non-negative, "
+                f"got {cca_noise_db!r}"
+            )
         self.node_id = node_id
         self.sim = sim
         self.medium = medium
+        # ``_slot`` is assigned by ``Medium.register``.
+        #: Read by the medium when it finalises and builds sender rows.
         self.reception = reception if reception is not None else ReceptionModel()
-        #: Index into the medium's vectorized per-radio state; assigned when
-        #: the medium finalises the topology.
-        self._slot: Optional[int] = None
         self.cca_threshold_dbm = cca_threshold_dbm
         # Per-frame measurement noise on the sensed power.  Real clear-channel
         # assessment is a noisy estimate, which is what makes marginal senders
         # "flutter" between deferring and transmitting -- a behaviour the paper
         # observes in its long-range experiments (Section 4.2).
-        self.cca_noise_db = cca_noise_db
+        self._cca_noise_db = cca_noise_db
         self.rng = rng if rng is not None else _default_rng(node_id)
         self.stats = RadioStats()
-        # The channel noise floor is immutable over a run; cache the linear
-        # value so CCA queries avoid a dB conversion per call.
-        self._noise_floor_mw = float(medium.noise_floor_mw)
-
-        self._incoming_power_mw: Dict[int, float] = {}
-        self._incoming_cca_power_mw: Dict[int, float] = {}
-        self._incoming_tx: Dict[int, Transmission] = {}
-        # Incremental accumulators over the two dicts above.
-        self._rx_sum_mw = 0.0
-        self._cca_sum_mw = 0.0
-        self._mutations_since_resync = 0
         self._transmitting: Optional[Transmission] = None
-        self._locked: Optional[Transmission] = None
-        self._locked_power_mw: float = 0.0
-        self._locked_power_dbm: float = -np.inf
-        # Holds the locked frame's worst-case interference until the medium
-        # finalises and hands out a slot (standalone radios never get one).
-        self._locked_max_interference_local_mw: float = 0.0
 
         # Callbacks wired up by the MAC.
         self.on_channel_busy: Callable[[], None] = lambda: None
@@ -180,63 +133,35 @@ class Radio:
         self.on_frame_received: Callable[[ReceptionOutcome], None] = lambda outcome: None
         self.on_transmit_complete: Callable[[Frame], None] = lambda frame: None
 
-        self._was_busy = False
-        # Deterministic busy-time ledger, maintained on the busy/idle
-        # transitions the radio already detects.  Observation probes read it
-        # to report sensed-busy fractions without polling the channel.
+        # Deterministic busy-time ledger, advanced on the busy/idle edges the
+        # medium fires.  Observation probes read it to report sensed-busy
+        # fractions without polling the channel.
         self._busy_accum_s = 0.0
         self._busy_since = 0.0
 
-    # -- medium wiring -------------------------------------------------------------
-
-    def _attach_slot(self, slot: int) -> None:
-        """Called by the medium's finalize(): bind this radio to a state slot."""
-        self._slot = slot
-        self.medium._above_sum_mw[slot] = self._rx_sum_mw
-        self.medium._locked_mask[slot] = self._locked is not None
-        self.medium._locked_power_mw[slot] = self._locked_power_mw
-        self.medium._cca_live_mw[slot] = self._cca_sum_mw
-        self.medium._cca_threshold_mw[slot] = self._cca_threshold_mw()
-        self.medium._busy_mirror[slot] = self._was_busy
-        if self._locked is not None:
-            self.medium._locked_max_interference_mw[slot] = (
-                self._locked_max_interference_local_mw
-            )
-
-    def _subfloor_mw(self) -> float:
-        """Active power from senders pruned out of per-frame notifications."""
-        if self._slot is None:
-            return 0.0
-        return self.medium.subfloor_noise_mw(self._slot)
+    # -- carrier sense ------------------------------------------------------------
 
     @property
-    def subfloor_noise_mw(self) -> float:
-        """Public view of the pruned-sender power folded into this radio's noise."""
-        return self._subfloor_mw()
-
-    # -- carrier sense ------------------------------------------------------------
+    def cca_noise_db(self) -> float:
+        """Standard deviation (dB) of the per-frame CCA measurement noise."""
+        return self._cca_noise_db
 
     @property
     def cca_threshold_dbm(self) -> Optional[float]:
         """CCA busy threshold (dBm); ``None`` disables carrier sense.
 
-        A property so that mid-run threshold changes (tuned/adaptive CCA
-        experiments) also refresh the medium's linear-threshold mirror used
-        by the vectorized sub-floor busy-edge check.
+        May change mid-run (tuned/adaptive CCA experiments); ``+inf`` also
+        switches carrier sense off in effect, while NaN is rejected.
         """
         return self._cca_threshold_dbm
 
     @cca_threshold_dbm.setter
     def cca_threshold_dbm(self, value: Optional[float]) -> None:
+        if value is not None and math.isnan(value):
+            raise ValueError(f"radio {self.node_id!r}: CCA threshold must not be NaN")
         self._cca_threshold_dbm = value
-        if self._slot is not None:
-            self.medium._cca_threshold_mw[self._slot] = self._cca_threshold_mw()
-
-    def _cca_threshold_mw(self) -> float:
-        """Linear threshold for the medium's mirror (inf: carrier sense off)."""
-        if self._cca_threshold_dbm is None:
-            return np.inf
-        return float(10.0 ** (self._cca_threshold_dbm / 10.0))
+        self._cca_threshold_mw, self._cca_lo_mw, self._cca_hi_mw = linear_threshold(value)
+        self.medium._thresholds_stale = True
 
     @property
     def carrier_sense_enabled(self) -> bool:
@@ -244,41 +169,24 @@ class Radio:
 
     @property
     def incoming_count(self) -> int:
-        return len(self._incoming_power_mw)
+        return self.medium._incoming[self._slot]
+
+    @property
+    def subfloor_noise_mw(self) -> float:
+        """Active power from senders pruned out of per-frame notifications."""
+        return self.medium.subfloor_noise_mw(self._slot)
 
     def sensed_power_mw(self) -> float:
         """Total power the CCA circuit estimates (includes measurement noise)."""
-        return self._cca_sum_mw + self._subfloor_mw() + self._noise_floor_mw
+        medium = self.medium
+        return (
+            medium._cca_sum_mw[self._slot]
+            + medium.subfloor_noise_mw(self._slot)
+            + medium._noise_floor_mw
+        )
 
     def sensed_power_dbm(self) -> float:
         return _lin_to_db_scalar(self.sensed_power_mw())
-
-    def resync_power_accumulators(self) -> None:
-        """Re-derive the incremental power sums exactly from the frame dicts."""
-        self._rx_sum_mw = sum(self._incoming_power_mw.values())
-        self._cca_sum_mw = sum(self._incoming_cca_power_mw.values())
-        self._mutations_since_resync = 0
-        if self._slot is not None:
-            self.medium._above_sum_mw[self._slot] = self._rx_sum_mw
-            self.medium._cca_live_mw[self._slot] = self._cca_sum_mw
-
-    def _note_mutation(self) -> None:
-        if not self._incoming_power_mw:
-            # An empty channel is the cheapest exact state: reset outright so
-            # drift can never outlive a quiet moment.
-            self._rx_sum_mw = 0.0
-            self._cca_sum_mw = 0.0
-            self._mutations_since_resync = 0
-            if self._slot is not None:
-                self.medium._above_sum_mw[self._slot] = 0.0
-                self.medium._cca_live_mw[self._slot] = 0.0
-            return
-        if self._slot is not None:
-            self.medium._above_sum_mw[self._slot] = self._rx_sum_mw
-            self.medium._cca_live_mw[self._slot] = self._cca_sum_mw
-        self._mutations_since_resync += 1
-        if self._mutations_since_resync >= RESYNC_INTERVAL:
-            self.resync_power_accumulators()
 
     def channel_busy(self) -> bool:
         """CCA verdict: busy when sensed power exceeds the threshold.
@@ -287,35 +195,27 @@ class Radio:
         radio never considers the channel busy because of its *own*
         transmission (the MAC already knows when it is transmitting).
         """
-        if self._cca_threshold_dbm is None:
-            return False
-        if not self._incoming_cca_power_mw and self._subfloor_mw() == 0.0:
-            return False
-        return self.sensed_power_dbm() > self._cca_threshold_dbm
+        return self.medium.channel_busy(self._slot)
 
-    def _update_busy_state(self) -> None:
-        busy = self.channel_busy()
-        if self._slot is not None:
-            self.medium._busy_mirror[self._slot] = busy
-        if busy != self._was_busy:
-            self._was_busy = busy
-            if busy:
-                self._busy_since = self.sim.now
-                self.on_channel_busy()
-            else:
-                self._busy_accum_s += self.sim.now - self._busy_since
-                self.on_channel_idle()
+    def _channel_edge(self, busy: bool) -> None:
+        """Called by the medium when this radio's CCA verdict flips."""
+        if busy:
+            self._busy_since = self.sim.now
+            self.on_channel_busy()
+        else:
+            self._busy_accum_s += self.sim.now - self._busy_since
+            self.on_channel_idle()
 
     def sensed_busy_time_s(self, now: float) -> float:
         """Total time the CCA circuit has reported busy, up to ``now``.
 
         ``now`` must be the caller's current simulation time; an in-progress
         busy period is counted up to it.  The ledger only advances on the
-        busy/idle edges the radio already evaluates, so between frame edges
-        (e.g. after a mid-run threshold change) it reflects the last verdict
-        -- exactly what the MAC itself believes.
+        busy/idle edges the medium evaluates, so between frame edges (e.g.
+        after a mid-run threshold change) it reflects the last verdict --
+        exactly what the MAC itself believes.
         """
-        if self._was_busy:
+        if self.medium._busy[self._slot]:
             return self._busy_accum_s + (now - self._busy_since)
         return self._busy_accum_s
 
@@ -329,11 +229,12 @@ class Radio:
         """Put a frame on the air.  Aborts any reception in progress."""
         if self._transmitting is not None:
             raise RuntimeError(f"radio {self.node_id!r} is already transmitting")
-        if self._locked is not None:
-            # Half-duplex: transmitting destroys the frame being received.
-            self.stats.receptions_aborted_by_tx += 1
-            self._unlock()
         tx = self.medium.start_transmission(self.node_id, frame)
+        # Half-duplex: transmitting destroys the frame being received.  (The
+        # sender's own lock is never read by its frame's receiver pass.)
+        if self.medium._lock_tx[self._slot] is not None:
+            self.stats.receptions_aborted_by_tx += 1
+            self.medium._unlock(self._slot)
         self._transmitting = tx
         self.stats.frames_transmitted += 1
         self.stats.tx_airtime_s += frame.airtime_s
@@ -345,142 +246,3 @@ class Radio:
             return
         self._transmitting = None
         self.on_transmit_complete(tx.frame)
-
-    # -- reception ------------------------------------------------------------------
-
-    def _lock_onto(self, tx: Transmission, power_mw: float, power_dbm: Optional[float] = None) -> None:
-        self._locked = tx
-        self._locked_power_mw = power_mw
-        self._locked_power_dbm = (
-            power_dbm if power_dbm is not None else _lin_to_db_scalar(power_mw)
-        )
-        interference = self._total_interference_excluding(tx.tx_id)
-        if self._slot is None:
-            self._locked_max_interference_local_mw = interference
-            return
-        medium = self.medium
-        medium._locked_mask[self._slot] = True
-        medium._locked_power_mw[self._slot] = power_mw
-        medium._locked_max_interference_mw[self._slot] = interference
-
-    def _unlock(self) -> None:
-        self._locked = None
-        if self._slot is not None:
-            self.medium._locked_mask[self._slot] = False
-
-    def _locked_max_interference(self) -> float:
-        if self._slot is None:
-            return self._locked_max_interference_local_mw
-        return float(self.medium._locked_max_interference_mw[self._slot])
-
-    def _raise_locked_max_interference(self, interference_mw: float) -> None:
-        if self._slot is None:
-            self._locked_max_interference_local_mw = max(
-                self._locked_max_interference_local_mw, interference_mw
-            )
-        else:
-            slot = self._slot
-            self.medium._locked_max_interference_mw[slot] = max(
-                self.medium._locked_max_interference_mw[slot], interference_mw
-            )
-
-    def incoming_started(
-        self, tx: Transmission, power_mw: float, power_dbm: Optional[float] = None
-    ) -> None:
-        """Called by the medium when a (detectable) transmission begins.
-
-        ``power_dbm`` is the same received power in dBm; a finalised medium
-        passes it from its precomputed per-link table, while direct callers
-        (tests, unfinalised media) may omit it.
-        """
-        if power_dbm is None:
-            power_dbm = _lin_to_db_scalar(power_mw)
-        tx_id = tx.tx_id
-        self._incoming_power_mw[tx_id] = power_mw
-        self._rx_sum_mw += power_mw
-        self._incoming_tx[tx_id] = tx
-        cca_power_mw = power_mw
-        if self.cca_noise_db > 0:
-            cca_power_mw *= float(10.0 ** (self.rng.normal(0.0, self.cca_noise_db) / 10.0))
-        self._incoming_cca_power_mw[tx_id] = cca_power_mw
-        self._cca_sum_mw += cca_power_mw
-        self._note_mutation()
-
-        if self._transmitting is not None:
-            self.stats.frames_missed_while_busy += 1
-        elif self._locked is None:
-            reception = self.reception
-            if power_dbm >= reception.sensitivity_dbm:
-                interference_mw = self._total_interference_excluding(tx_id)
-                sinr_db = _lin_to_db_scalar(power_mw / (self._noise_floor_mw + interference_mw))
-                if sinr_db >= reception.preamble_snr_threshold_db:
-                    self._lock_onto(tx, power_mw, power_dbm)
-        else:
-            reception = self.reception
-            if (
-                power_dbm >= reception.sensitivity_dbm
-                and power_dbm >= self._locked_power_dbm + reception.capture_margin_db
-            ):
-                # Physical-layer capture: the stronger frame steals the lock
-                # and the frame being received so far is lost.  The displaced
-                # frame still gets a (failed) reception outcome so link-level
-                # failure accounting matches the radio counters.
-                displaced = self._locked
-                displaced_interference_mw = max(
-                    self._locked_max_interference(),
-                    self._total_interference_excluding(displaced.tx_id),
-                )
-                displaced_sinr_db = _lin_to_db_scalar(
-                    self._locked_power_mw
-                    / (self._noise_floor_mw + displaced_interference_mw)
-                )
-                self.stats.frames_failed += 1
-                self._lock_onto(tx, power_mw, power_dbm)
-                self.on_frame_received(
-                    ReceptionOutcome(
-                        frame=displaced.frame,
-                        success=False,
-                        sinr_db=displaced_sinr_db,
-                        success_probability=0.0,
-                    )
-                )
-            else:
-                self._raise_locked_max_interference(
-                    self._total_interference_excluding(self._locked.tx_id)
-                )
-        self._update_busy_state()
-
-    def incoming_ended(self, tx: Transmission) -> None:
-        """Called by the medium when a (detectable) transmission ends."""
-        tx_id = tx.tx_id
-        power_mw = self._incoming_power_mw.pop(tx_id, None)
-        if power_mw is not None:
-            self._rx_sum_mw -= power_mw
-        cca_power_mw = self._incoming_cca_power_mw.pop(tx_id, None)
-        if cca_power_mw is not None:
-            self._cca_sum_mw -= cca_power_mw
-        self._incoming_tx.pop(tx_id, None)
-        self._note_mutation()
-
-        locked = self._locked
-        if locked is not None and locked.tx_id == tx_id:
-            sinr_linear = self._locked_power_mw / (
-                self._noise_floor_mw + self._locked_max_interference()
-            )
-            sinr_db = _lin_to_db_scalar(sinr_linear)
-            outcome = self.reception.decide(tx.frame, sinr_db, self.rng)
-            if outcome.success:
-                self.stats.frames_decoded += 1
-            else:
-                self.stats.frames_failed += 1
-            self._unlock()
-            self.on_frame_received(outcome)
-        self._update_busy_state()
-
-    def _total_interference_excluding(self, tx_id: int) -> float:
-        """All interfering power except ``tx_id``: detectable plus sub-floor."""
-        return (
-            self._rx_sum_mw
-            - self._incoming_power_mw.get(tx_id, 0.0)
-            + self._subfloor_mw()
-        )

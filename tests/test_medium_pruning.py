@@ -17,9 +17,9 @@ from repro.propagation.pathloss import LogDistancePathLoss
 from repro.scenarios import TOPOLOGIES, Scenario, unpruned_variant
 from repro.simulation.engine import Simulator
 from repro.simulation.frames import Frame, FrameKind
-from repro.simulation.medium import Medium, Transmission
+from repro.simulation.medium import RESYNC_INTERVAL, Medium
 from repro.simulation.phy import ReceptionModel
-from repro.simulation.radio import RESYNC_INTERVAL, Radio
+from repro.simulation.radio import Radio
 
 
 def build_medium(positions, detectability_margin_db=16.0, cca=-82.0):
@@ -121,15 +121,14 @@ class TestMediumFinalize:
 
     def test_threshold_change_refreshes_medium_mirror(self):
         # Mid-run CCA threshold changes (tuned/adaptive experiments) must
-        # keep the medium's linear-threshold mirror for the sub-floor
-        # busy-edge check in sync.
+        # reach the linear thresholds of the sub-floor busy-edge check.
         _sim, medium, radios = build_medium({"a": (0, 0), "b": NEAR})
         medium.finalize()
-        slot = radios["a"]._slot
+        slot = medium._index["a"]
         radios["a"].cca_threshold_dbm = -70.0
-        assert medium._cca_threshold_mw[slot] == pytest.approx(10.0 ** (-7.0))
+        assert medium._cca_thresholds_mw()[slot] == pytest.approx(10.0 ** (-7.0))
         radios["a"].cca_threshold_dbm = None
-        assert medium._cca_threshold_mw[slot] == np.inf
+        assert medium._cca_thresholds_mw()[slot] == np.inf
 
     def test_subfloor_power_change_fires_busy_idle_callbacks(self):
         # With a tight margin, aggregate sub-floor power alone can cross a
@@ -159,6 +158,28 @@ class TestMediumFinalize:
         unpruned_sim.run()
         assert pruned_events == unpruned_events == ["busy", "idle"]
 
+    def test_locked_radio_samples_subfloor_interference(self):
+        # A frame that a locked radio hears only as sub-floor energy must
+        # still count toward the locked frame's worst-case interference, as
+        # it does on the unpruned reference medium.
+        positions = {"a": (0.0, 0.0), "b": NEAR, "far": (165.0, 0.0)}
+
+        def decode_sinr_db(margin, with_far=True):
+            sim, medium, radios = build_medium(positions, detectability_margin_db=margin)
+            outcomes = []
+            radios["a"].on_frame_received = outcomes.append
+            medium.start_transmission("b", data_frame("b"))
+            sim.run(until=1e-4)
+            if with_far:
+                medium.start_transmission("far", data_frame("far", payload=60))
+            sim.run()
+            return medium, outcomes[0].sinr_db
+
+        pruned, sinr_db = decode_sinr_db(0.0)
+        assert "a" not in pruned.neighborhood("far")  # a hears far only sub-floor
+        assert sinr_db == decode_sinr_db(None)[1]
+        assert sinr_db < decode_sinr_db(0.0, with_far=False)[1] - 0.5
+
     def test_subfloor_resync_restores_exact_state(self):
         sim, medium, radios = build_medium({"a": (0, 0), "b": NEAR, "far": FAR})
         medium.start_transmission("far", data_frame("far"))
@@ -172,79 +193,76 @@ class TestMediumFinalize:
         assert radios["a"].subfloor_noise_mw == 0.0
 
 
-class TestRadioAccumulators:
-    def _fake_tx(self, src, start=0.0, duration=1e-3):
-        return Transmission(
-            frame=data_frame(src), src=src, start_time=start, end_time=start + duration
-        )
+class TestMediumPowerSums:
+    """The medium's incremental per-slot power sums, driven through
+    ``Medium.start_transmission`` and the engine."""
+
+    POSITIONS = {"a": (0, 0), "b": NEAR, "c": (20.0, 0.0), "d": (35.0, 10.0), "e": (60.0, 0.0)}
+
+    def _exact_sum_mw(self, medium, dst):
+        """What the incremental sum approximates: a recompute over the live
+        frames in frame-start order."""
+        return sum(medium.rx_power_mw(tx.src, dst) for tx in medium.active_transmissions.values())
 
     def test_accumulator_matches_exact_sum(self):
-        _sim, medium, radios = build_medium({"a": (0, 0), "b": NEAR})
-        medium.finalize()
-        radio = radios["a"]
+        sim, medium, _ = build_medium(self.POSITIONS)
+        slot = medium._index["a"]
         rng = np.random.default_rng(0)
-        live = []
-        for i in range(200):
-            if live and rng.random() < 0.4:
-                radio.incoming_ended(live.pop(rng.integers(len(live))))
+        for _ in range(200):
+            if medium.active_transmissions and rng.random() < 0.4:
+                sim.step()  # the next event is a frame end
             else:
-                tx = self._fake_tx("b", start=i * 1e-4)
-                radio.incoming_started(tx, float(rng.uniform(1e-9, 1e-6)))
-                live.append(tx)
-            assert radio._rx_sum_mw == pytest.approx(
-                sum(radio._incoming_power_mw.values()), rel=1e-9, abs=1e-18
-            )
+                src = ["b", "c", "d", "e"][rng.integers(4)]
+                medium.start_transmission(src, data_frame(src, payload=int(rng.integers(50, 1500))))
+            exact = self._exact_sum_mw(medium, "a")
+            assert medium._rx_sum_mw[slot] == pytest.approx(exact, rel=1e-9, abs=1e-18)
+            # cca_noise_db=0: the CCA sum is the same sum.
+            assert medium._cca_sum_mw[slot] == medium._rx_sum_mw[slot]
+            assert medium.radio("a").incoming_count == len(medium.active_transmissions)
 
     def test_empty_channel_resets_sums_exactly(self):
-        _sim, medium, radios = build_medium({"a": (0, 0), "b": NEAR})
-        medium.finalize()
-        radio = radios["a"]
-        tx = self._fake_tx("b")
-        radio.incoming_started(tx, 1e-7)
-        radio.incoming_ended(tx)
-        assert radio._rx_sum_mw == 0.0
-        assert radio._cca_sum_mw == 0.0
+        sim, medium, _ = build_medium(self.POSITIONS)
+        slot = medium._index["a"]
+        for src, payload in (("b", 1400), ("c", 300), ("d", 900), ("e", 60)):
+            medium.start_transmission(src, data_frame(src, payload=payload))
+        assert medium._rx_sum_mw[slot] > 0.0
+        sim.run()
+        assert medium._rx_sum_mw[slot] == 0.0
+        assert medium._cca_sum_mw[slot] == 0.0
+        assert medium._mutations[slot] == 0
 
     def test_periodic_resync_bounds_drift(self):
-        _sim, medium, radios = build_medium({"a": (0, 0), "b": NEAR})
-        medium.finalize()
-        radio = radios["a"]
-        anchor = self._fake_tx("b")
-        radio.incoming_started(anchor, 1e-7)
-        radio._rx_sum_mw += 1.0  # inject drift
-        radio._cca_sum_mw += 1.0
-        radio._mutations_since_resync = RESYNC_INTERVAL  # due for resync
-        tx = self._fake_tx("b", start=1e-4)
-        radio.incoming_started(tx, 2e-7)
-        assert radio._rx_sum_mw == pytest.approx(3e-7, rel=1e-12)
-        assert radio._cca_sum_mw == pytest.approx(3e-7, rel=1e-12)
+        sim, medium, _ = build_medium(self.POSITIONS)
+        slot = medium._index["a"]
+        medium.start_transmission("b", data_frame("b", payload=1400))
+        medium._rx_sum_mw[slot] += 1.0  # inject drift
+        medium._cca_sum_mw[slot] += 1.0
+        medium._mutations[slot] = RESYNC_INTERVAL - 2
+        medium.start_transmission("c", data_frame("c", payload=1400))  # mutation 1023
+        assert medium._rx_sum_mw[slot] > 1.0  # drift survives until the resync
+        medium.start_transmission("d", data_frame("d", payload=1400))  # mutation 1024
+        exact = self._exact_sum_mw(medium, "a")
+        assert medium._rx_sum_mw[slot] == pytest.approx(exact, rel=1e-12)
+        assert medium._cca_sum_mw[slot] == pytest.approx(exact, rel=1e-12)
+        assert medium._mutations[slot] == 0
+        sim.run()
 
-    def test_standalone_radio_locks_without_finalize(self):
-        # A Radio on a never-finalised medium (no slot) must still be able to
-        # lock, accumulate worst-case interference, and deliver an outcome.
-        _sim, medium, radios = build_medium({"a": (0, 0), "b": NEAR, "c": (20.0, 0.0)})
-        radio = radios["a"]
+    def test_lock_and_decode_without_explicit_finalize(self):
+        # The first transmission finalises the medium; the receiver then
+        # locks, accumulates an interferer, and decodes at the frame's end.
+        sim, medium, radios = build_medium({"a": (0, 0), "b": NEAR, "c": (60.0, 0.0)})
         outcomes = []
-        radio.on_frame_received = outcomes.append
-        locked = self._fake_tx("b")
-        radio.incoming_started(locked, 1e-6)
-        assert radio._locked is locked
-        interferer = self._fake_tx("c", start=1e-4)
-        radio.incoming_started(interferer, 1e-8)
-        radio.incoming_ended(interferer)
-        radio.incoming_ended(locked)
-        assert len(outcomes) == 1
-        assert not medium.finalized
-        _sim, medium, radios = build_medium({"a": (0, 0), "b": NEAR})
-        medium.finalize()
-        radio = radios["a"]
-        radio.incoming_started(self._fake_tx("b"), 1e-7)
-        radio._rx_sum_mw = 42.0
-        radio._cca_sum_mw = 42.0
-        radio.resync_power_accumulators()
-        assert radio._rx_sum_mw == pytest.approx(1e-7, rel=1e-12)
-        assert radio._cca_sum_mw == pytest.approx(1e-7, rel=1e-12)
-        assert radio._mutations_since_resync == 0
+        radios["a"].on_frame_received = outcomes.append
+        locked = medium.start_transmission("b", data_frame("b", payload=1400))
+        assert medium.finalized
+        assert medium._lock_tx[medium._index["a"]] is locked
+        sim.run(until=1e-4)
+        medium.start_transmission("c", data_frame("c", payload=100))
+        sim.run()
+        assert [outcome.frame for outcome in outcomes] == [locked.frame]
+        assert outcomes[0].success
+        assert radios["a"].stats.frames_decoded == 1
+        assert medium._lock_tx[medium._index["a"]] is None
 
 
 def _scenario(topology, **overrides):

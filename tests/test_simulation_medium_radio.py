@@ -10,9 +10,11 @@ from repro.propagation.channel import ChannelModel
 from repro.propagation.pathloss import LogDistancePathLoss
 from repro.simulation.engine import Simulator
 from repro.simulation.frames import BROADCAST, Frame, FrameKind
-from repro.simulation.medium import Medium
+from repro.simulation.medium import Medium, _lin_to_db_scalar, linear_threshold
+from repro.simulation.network import WirelessNetwork
 from repro.simulation.phy import ReceptionModel
 from repro.simulation.radio import Radio
+from repro.simulation.traffic import SaturatedTraffic
 
 
 def build_medium(positions, sigma_db=0.0, reference_loss_db=77.0, cca=-82.0, jitter=0.0):
@@ -208,6 +210,104 @@ class TestRadioReception:
         radios["a"].transmit(data_frame("a"))
         with pytest.raises(RuntimeError):
             radios["a"].transmit(data_frame("a"))
+
+
+class TestLinearThresholdVerdicts:
+    def test_linear_verdict_matches_exact_db_comparison(self):
+        """The pass decides CCA in linear mW and falls back to the exact
+        ``10*log10`` only near the threshold; the two must never disagree,
+        including a few ulps either side of the threshold."""
+        rng = np.random.default_rng(5)
+        for threshold_db in np.concatenate([rng.uniform(-100.0, -40.0, 300), [-82.0, 4.0]]):
+            linear, lo, hi = linear_threshold(float(threshold_db))
+            near = [linear]
+            for _ in range(40):
+                near.append(float(np.nextafter(near[-1], np.inf)))
+            below = [linear]
+            for _ in range(40):
+                below.append(float(np.nextafter(below[-1], 0.0)))
+            spread = linear * (1.0 + rng.uniform(-1e-8, 1e-8, 50))
+            for value in [*near, *below, *spread.tolist()]:
+                fast = value > hi or (value >= lo and _lin_to_db_scalar(value) > threshold_db)
+                assert fast == (_lin_to_db_scalar(value) > threshold_db)
+
+    def test_none_threshold_is_never_crossed(self):
+        linear, lo, hi = linear_threshold(None)
+        assert linear == lo == hi == np.inf
+
+
+class TestReceiverPassGuard:
+    """MAC callbacks schedule transmissions; they never start one inline."""
+
+    def test_transmit_from_busy_callback_raises(self):
+        sim, medium, radios = build_medium({"a": (0, 0), "b": (10, 0)})
+        radios["b"].on_channel_busy = lambda: radios["b"].transmit(data_frame("b"))
+        with pytest.raises(RuntimeError, match="receiver pass"):
+            radios["a"].transmit(data_frame("a"))
+        assert not radios["b"].is_transmitting
+
+    def test_transmit_from_frame_end_callback_raises(self):
+        sim, medium, radios = build_medium({"a": (0, 0), "b": (10, 0)})
+        radios["b"].on_frame_received = lambda outcome: radios["b"].transmit(data_frame("b"))
+        radios["a"].transmit(data_frame("a"))
+        with pytest.raises(RuntimeError, match="receiver pass"):
+            sim.run()
+
+    def test_scheduled_transmit_from_callback_is_fine(self):
+        sim, medium, radios = build_medium({"a": (0, 0), "b": (10, 0)})
+        radios["b"].on_channel_busy = lambda: sim.schedule_call(
+            0.0, lambda: radios["b"].transmit(data_frame("b"))
+        )
+        radios["a"].transmit(data_frame("a"))
+        sim.run()
+        assert radios["b"].stats.frames_transmitted == 1
+
+
+class TestRadioInputValidation:
+    def _network(self, **kwargs):
+        return WirelessNetwork(channel=ChannelModel(rng=np.random.default_rng(0)), **kwargs)
+
+    @pytest.mark.parametrize("noise", [-1.0, float("nan"), float("inf")])
+    def test_bad_cca_noise_rejected_at_add_node(self, noise):
+        net = self._network(cca_noise_db=noise)
+        with pytest.raises(ValueError, match="cca_noise_db"):
+            net.add_node("a", (0.0, 0.0))
+
+    def test_nan_threshold_rejected_at_add_node(self):
+        net = self._network()
+        with pytest.raises(ValueError, match="NaN"):
+            net.add_node("a", (0.0, 0.0), cca_threshold_dbm=float("nan"))
+
+    @pytest.mark.parametrize("threshold", [float("inf"), float("-inf"), None, -82.0])
+    def test_infinite_and_none_thresholds_accepted(self, threshold):
+        net = self._network()
+        node = net.add_node("a", (0.0, 0.0), cca_threshold_dbm=threshold)
+        assert node.radio.cca_threshold_dbm == threshold
+
+    def test_nan_threshold_rejected_mid_run(self):
+        net = self._network()
+        net.add_node("S", (0.0, 0.0), traffic=SaturatedTraffic("*"))
+        radio = net.add_node("R", (8.0, 0.0)).radio
+        net.run(0.01)
+        with pytest.raises(ValueError, match="NaN"):
+            radio.cca_threshold_dbm = float("nan")
+        assert radio.cca_threshold_dbm == -82.0
+        radio.cca_threshold_dbm = float("inf")
+        net.run(0.01)
+        assert not radio.channel_busy()
+
+    def test_infinite_threshold_matches_carrier_sense_off(self):
+        """+inf dBm never reads busy, so it runs exactly like ``None``."""
+
+        def run(threshold):
+            net = self._network(seed=4, cca_threshold_dbm=threshold)
+            for i, x in enumerate((0.0, 30.0, 60.0)):
+                net.add_node(f"S{i}", (x, 0.0), traffic=SaturatedTraffic("*"))
+                net.add_node(f"R{i}", (x, 8.0))
+            net.run(0.05)
+            return [(n.radio.stats, n.mac.stats.as_dict()) for n in net.nodes.values()]
+
+        assert run(float("inf")) == run(None)
 
 
 class TestRadioDefaultRng:
