@@ -154,7 +154,7 @@ def measure_events_per_sec(smoke: bool, rounds: int) -> Dict[str, Any]:
         start = time.perf_counter()
         result = scenario.run()
         walls.append(time.perf_counter() - start)
-        events = int(result["events_processed"])
+        events = int(result.scenarios[0]["events_processed"])
     mean_s = statistics.fmean(walls)
     return {
         "mean_s": mean_s,

@@ -1,4 +1,4 @@
-"""Benchmarks for the two design-choice ablations called out in DESIGN.md."""
+"""Benchmarks for the two design-choice ablations: noise floor and fixed bitrate."""
 
 from __future__ import annotations
 

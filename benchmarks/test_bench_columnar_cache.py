@@ -8,11 +8,6 @@ the JSON flow-dict encoding of the same :class:`~repro.results.ResultSet`
 pipeline would have to store to persist the same information).  The pinned
 property: the columnar files are at least 3x smaller.
 
-For context the recording also reports the size of the *legacy* pps-only
-entry (which carried a single float per flow); that comparison is
-informational, not gated -- the columnar schema stores seven additional
-typed columns per flow and still lands in the same ballpark.
-
 ``REPRO_BENCH_SMOKE=1`` shrinks the sweep so the suite stays seconds-scale
 on CI; the ratio assertion holds at either size.
 """
@@ -64,7 +59,6 @@ def test_columnar_cache_is_at_least_3x_smaller_than_flow_dict_json(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     columnar_bytes = 0
     flow_dict_bytes = 0
-    legacy_pps_bytes = 0
     for scenario in sweep_scenarios():
         result = scenario.run()
         task = scenario_task(scenario)
@@ -72,11 +66,6 @@ def test_columnar_cache_is_at_least_3x_smaller_than_flow_dict_json(tmp_path):
         columnar_bytes += cache._path(task.cache_key).stat().st_size
         columnar_bytes += cache._binary_path(task.cache_key).stat().st_size
         flow_dict_bytes += flow_dict_json_bytes(result, task.config)
-        legacy_pps_bytes += len(json.dumps(
-            {"key": task.cache_key, "config": task.config,
-             "result": result.to_flow_dicts()[0]},
-            sort_keys=True,
-        ).encode("utf-8"))
 
         # The stored entry must still round-trip losslessly.
         assert cache.get(task.cache_key)["result"] == result
@@ -84,8 +73,7 @@ def test_columnar_cache_is_at_least_3x_smaller_than_flow_dict_json(tmp_path):
     ratio = flow_dict_bytes / columnar_bytes
     print(
         f"\ncolumnar: {columnar_bytes} B, flow-dict JSON: {flow_dict_bytes} B "
-        f"({ratio:.1f}x), legacy pps-only JSON: {legacy_pps_bytes} B "
-        f"({legacy_pps_bytes / columnar_bytes:.1f}x, informational)"
+        f"({ratio:.1f}x)"
     )
     assert ratio >= MIN_RATIO, (
         f"columnar entries only {ratio:.2f}x smaller than the JSON flow-dict "

@@ -50,7 +50,7 @@ def act1_manual_stepping() -> None:
             f"  epoch {obs.epoch}: delivered {obs.delivered_pps:7.1f} pps, "
             f"busy {obs.busy_frac:.2f}, cca {obs.cca_threshold_dbm:.0f} dBm"
         )
-    print(f"  total delivered: {env.result_set()['total_pps']:.1f} pps\n")
+    print(f"  total delivered: {env.result_set().scenarios[0]['total_pps']:.1f} pps\n")
 
 
 def act2_static_vs_adaptive() -> None:

@@ -6,14 +6,16 @@ a title, classification tags (``analytical``, ``packet-level``, ``slow``,
 body that builds an :class:`Artifact`.  Experiments live in the shared
 :data:`~repro.registry.EXPERIMENTS` registry -- the same plugin surface as
 topologies, MACs, and traffic models -- so the CLI, discovery, and tests all
-see plugin experiments exactly like the builtins::
+see plugin experiments exactly like the builtins.  The builtins register
+when :mod:`repro.experiments` is imported; without that import the registry
+holds only plugins::
 
-    from repro.api import EXPERIMENTS, experiment
+    import repro.experiments  # registers the builtin harnesses
+    from repro.api import EXPERIMENTS
 
-    @EXPERIMENTS -- builtins register via :func:`experiment` at import time
     artifact = EXPERIMENTS["table-1"].run(n_samples=5000)
     artifact.scalars["minimum_efficiency_percent"]
-    artifact.save("out/table-1")          # manifest.json + .npz sidecars
+    artifact.save("out/table-1")  # manifest.json + .npz sidecars
 
 An :class:`Artifact` is the typed output model: named **tables** (JSON-able
 mappings/lists), named **series** (curve/scatter payloads, summarised rather
@@ -24,10 +26,9 @@ together.  ``save``/``load`` round-trip an artifact through a directory, so
 experiment outputs become cacheable, diffable files instead of transient
 dicts.
 
-The legacy module-level ``run(...) -> ExperimentResult`` functions remain
-the computational bodies; :meth:`Experiment.run` calls them and lifts their
-result into an :class:`Artifact` (parity-pinned -- identical numbers either
-way).
+Each harness module's ``run(...) -> ExperimentResult`` is the computational
+body; :meth:`Experiment.run` calls it and lifts the result into an
+:class:`Artifact`.
 """
 
 from __future__ import annotations
@@ -333,16 +334,6 @@ class Artifact:
     def add_note(self, note: str) -> None:
         self.notes.append(note)
 
-    def data(self) -> Dict[str, Any]:
-        """Every named payload merged into one mapping (tests, shims)."""
-        merged: Dict[str, Any] = {}
-        merged.update(self.tables)
-        merged.update(self.series)
-        merged.update(self.scalars)
-        merged.update(self.result_sets)
-        merged.update(self.extras)
-        return merged
-
     # -- persistence -----------------------------------------------------------
 
     def manifest(self) -> Dict[str, Any]:
@@ -474,9 +465,9 @@ def _params_manifest(params: Mapping[str, Any]) -> Dict[str, Any]:
 class Experiment:
     """A declarative, registry-backed experiment harness.
 
-    ``runner`` is the computational body (the historical module-level
-    ``run(...)`` returning an ``ExperimentResult``-like object with
-    ``data``/``notes``); :meth:`build` lifts its output into an
+    ``runner`` is the computational body (a harness module's ``run(...)``
+    returning an ``ExperimentResult``-like object with ``data``/``notes``);
+    :meth:`build` lifts its output into an
     :class:`Artifact`.  ``defaults`` are bound keyword arguments not exposed
     as parameters (how one module serves two figure ids); ``series_keys``
     name data entries that are series rather than tables; non-JSON-able
@@ -527,10 +518,6 @@ class Experiment:
         return self.build(self.resolve(overrides))
 
     __call__ = run
-
-    def legacy_run(self, **kwargs: Any) -> Any:
-        """The historical path: the raw ``ExperimentResult`` from the body."""
-        return self.runner(**{**dict(self.defaults), **kwargs})
 
     def _lift(self, result: Any, params: Mapping[str, Any]) -> Artifact:
         """Classify an ``ExperimentResult``'s data into typed artifact slots."""

@@ -62,7 +62,6 @@ from ..scenarios import (
     Scenario,
     aggregate_metrics,
     scenario_group_key,
-    scenario_summaries,
     scenario_task,
 )
 
@@ -369,8 +368,8 @@ class StudyResult:
 
     @property
     def raw(self) -> List[Any]:
-        """Per-task results in task order (ResultSets, or legacy dicts for
-        entries cached before the columnar format)."""
+        """Per-task results in task order (``None`` for tasks that failed
+        under ``on_error="skip"``)."""
         return self.outcome.results
 
     @property
@@ -395,26 +394,18 @@ class StudyResult:
     def results(self) -> ResultSet:
         """The whole sweep as one columnar :class:`~repro.results.ResultSet`.
 
-        Legacy dict results (old JSON cache entries) are lifted through
-        :meth:`ResultSet.from_flow_dicts`; their extended columns hold the
-        "not measured" sentinels.  Tasks that failed under
-        ``on_error="skip"`` are absent (see :attr:`failures`).
+        Tasks that failed under ``on_error="skip"`` are absent (see
+        :attr:`failures`).  A cache entry written before the columnar format
+        makes :meth:`ResultSet.concat` raise ``TypeError``; re-run with
+        :meth:`Study.force` or clear the cache.
         """
         if self._result_set is None:
-            self._result_set = ResultSet.coerce(self.completed)
+            self._result_set = ResultSet.concat(self.completed)
         return self._result_set
-
-    def summaries(self) -> List[Dict[str, Any]]:
-        """One scenario-summary dict per completed task, in task order."""
-        return scenario_summaries(self.completed)
-
-    def to_flow_dicts(self) -> List[Dict[str, Any]]:
-        """The legacy per-flow dict encoding of the whole sweep."""
-        return self.results().to_flow_dicts()
 
     def aggregate(self) -> Dict[str, Any]:
         """Sweep-level statistics (see :func:`repro.scenarios.aggregate_metrics`)."""
-        return aggregate_metrics(self.completed)
+        return aggregate_metrics(self.results())
 
     def __repr__(self) -> str:
         return f"StudyResult({self.report.summary()})"

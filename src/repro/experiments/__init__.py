@@ -1,17 +1,13 @@
 """Experiment harnesses: one module per paper table / figure, plus ablations.
 
 Each module exposes ``run(...) -> ExperimentResult`` (the computational
-body, runnable as a script: ``python -m repro.experiments.table1_fixed_threshold``)
-and registers a declarative :class:`repro.api.Experiment` -- id, title,
-tags, typed parameter spec -- in the shared
-:data:`repro.api.EXPERIMENTS` registry.  The registry is what the
-``python -m repro.experiments`` CLI, discovery, and the artifact
-persistence layer operate on; plugin experiments registered with
+body) and registers a declarative :class:`repro.api.Experiment` -- id,
+title, tags, typed parameter spec -- in the shared
+:data:`repro.api.EXPERIMENTS` registry.  Importing this package registers
+the builtins.  The registry is what the ``python -m repro.experiments``
+CLI (``list | describe | run``), discovery, and the artifact persistence
+layer operate on; plugin experiments registered with
 :func:`repro.api.experiment` appear there exactly like the builtins.
-
-The mapping from paper artefacts to modules is recorded in DESIGN.md;
-EXPERIMENTS.md collects paper-versus-measured numbers produced by these
-harnesses.
 """
 
 from ..api.experiment import EXPERIMENTS
@@ -38,31 +34,4 @@ from . import (
 )
 from .base import ExperimentResult
 
-#: The historical listing order of the per-figure/per-table harnesses
-#: (``run-scenarios`` is registered too but runs through its own sweep
-#: grammar, so the legacy registry and ``--all`` exclude it).
-_LEGACY_ORDER = (
-    "figure-02",
-    "figure-03",
-    "figure-04",
-    "figure-05-06",
-    "figure-07",
-    "figure-09",
-    "table-1",
-    "table-2",
-    "section-3.4",
-    "figures-10-11",
-    "figures-12-13",
-    "section-5",
-    "figure-14",
-    "ablation-noise-floor",
-    "ablation-fixed-bitrate",
-)
-
-#: Legacy registry of experiment ids to ``run()``-style callables returning
-#: an :class:`ExperimentResult` -- the pre-Experiment API, kept for old
-#: callers.  New code should use :data:`EXPERIMENTS` (typed params,
-#: artifact outputs, tags) instead.
-REGISTRY = {name: EXPERIMENTS[name].legacy_run for name in _LEGACY_ORDER}
-
-__all__ = ["ExperimentResult", "REGISTRY", "EXPERIMENTS"]
+__all__ = ["ExperimentResult", "EXPERIMENTS"]

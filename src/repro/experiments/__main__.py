@@ -1,6 +1,6 @@
 """Run experiment harnesses from the command line.
 
-The declarative grammar operates on the :data:`repro.api.EXPERIMENTS`
+Every command operates on the :data:`repro.api.EXPERIMENTS`
 registry (tags, typed parameters, artifact outputs)::
 
     python -m repro.experiments list                    # all experiments + tags
@@ -9,13 +9,12 @@ registry (tags, typed parameters, artifact outputs)::
     python -m repro.experiments run table-1 --set n_samples=5000
     python -m repro.experiments run --tag ablation --out out/  # save artifacts
     python -m repro.experiments run figure-04 --json    # print the manifest
+    python -m repro.experiments run --all --full        # include the slow campaigns
 
-The historical grammar keeps working unchanged::
+``run-scenarios`` also takes its sweep as flags, the one form that prints a
+progress heartbeat to stderr (same cache keys, same summary as
+``run run-scenarios --set ...``)::
 
-    python -m repro.experiments                # list available experiments
-    python -m repro.experiments table-1        # run one experiment
-    python -m repro.experiments --all          # run every analytical experiment
-    python -m repro.experiments --all --full   # include the (slow) testbed campaigns
     python -m repro.experiments run-scenarios --topology scale_free --nodes 50 --workers 4
 """
 
@@ -28,18 +27,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from ..api.experiment import Experiment, parse_overrides
-from . import EXPERIMENTS, REGISTRY
-
-#: Experiments excluded from ``--all`` unless ``--full`` is given.  Derived
-#: from the ``slow`` tag (the registry replaced the hard-coded tuple this
-#: constant used to be).
-SLOW_EXPERIMENTS = tuple(
-    name for name in EXPERIMENTS if "slow" in EXPERIMENTS[name].tags
-)
-
-#: Data keys the legacy (pre-artifact) text path strips before printing; the
-#: artifact path classifies these as series/extras and summarises instead.
-_LEGACY_HEAVY_KEYS = ("campaign", "curves", "scatter", "study", "raw", "raw_areas", "results")
+from . import EXPERIMENTS
 
 
 def _experiment(name: str) -> Experiment:
@@ -79,12 +67,11 @@ def _out_dir(base: str, experiment_id: str) -> Path:
     return Path(base) / experiment_id.replace("/", "-")
 
 
-# -- declarative grammar ---------------------------------------------------------
-
-
-def _build_new_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments", description=__doc__
+        prog="python -m repro.experiments",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -219,14 +206,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         experiment = _experiment(name)
         known = {param.name for param in experiment.params}
         try:
-            resolved = experiment.resolve({
+            artifact = experiment.build(experiment.resolve({
                 key: value for key, value in raw_overrides.items()
                 if len(names) == 1 or key in known
-            })
+            }))
         except (KeyError, ValueError) as exc:
+            # Unknown or ill-typed parameters, and inputs the body rejects
+            # before running anything.
             print(f"{name}: {exc.args[0]}", file=sys.stderr)
             return 1
-        artifact = experiment.build(resolved)
         if args.out:
             artifact.save(_out_dir(args.out, name))
         if args.json:
@@ -241,60 +229,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- legacy grammar ---------------------------------------------------------------
-
-
-def _main_legacy(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("experiment", nargs="*", help="experiment id(s) to run")
-    parser.add_argument("--all", action="store_true", help="run every registered experiment")
-    parser.add_argument(
-        "--full", action="store_true", help="with --all, include the slow testbed campaigns"
-    )
-    args = parser.parse_args(argv)
-
-    if not args.experiment and not args.all:
-        print("Available experiments:")
-        for name in REGISTRY:
-            marker = " (slow)" if name in SLOW_EXPERIMENTS else ""
-            print(f"  {name}{marker}")
-        print("  run-scenarios (scenario sweeps; see run-scenarios --help)")
-        print("(declarative grammar: list | describe | run; see --help)")
-        return 0
-
-    names = list(REGISTRY) if args.all else args.experiment
-    if args.all and not args.full:
-        names = [name for name in names if name not in SLOW_EXPERIMENTS]
-
-    for name in names:
-        if name not in REGISTRY:
-            print(f"unknown experiment {name!r}", file=sys.stderr)
-            return 1
-        result = REGISTRY[name]()
-        result.data = {
-            k: v for k, v in result.data.items() if k not in _LEGACY_HEAVY_KEYS
-        }
-        print(result.summary())
-        print()
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args_in = list(sys.argv[1:] if argv is None else argv)
-    if args_in and args_in[0] == "run-scenarios":
-        # The scenario sweep has its own argument grammar; delegate wholesale.
+    if args_in[:1] == ["run-scenarios"]:
+        # The scenario sweep's flag grammar; delegate wholesale.
         from .run_scenarios import main as run_scenarios_main
 
         return run_scenarios_main(args_in[1:])
-    if args_in and args_in[0] in ("list", "describe", "run"):
-        parser = _build_new_parser()
-        args = parser.parse_args(args_in)
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "describe":
-            return _cmd_describe(args)
-        return _cmd_run(args)
-    return _main_legacy(args_in)
+    args = _build_parser().parse_args(args_in)
+    commands = {"list": _cmd_list, "describe": _cmd_describe, "run": _cmd_run}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

@@ -58,11 +58,3 @@ EXPERIMENT = experiment(
     run,
     tags=("analytical", "ablation"),
 )
-
-
-def main() -> None:
-    print(run().summary())
-
-
-if __name__ == "__main__":
-    main()

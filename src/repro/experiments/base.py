@@ -2,26 +2,18 @@
 
 Every experiment module exposes a ``run(...)`` function returning an
 :class:`ExperimentResult`: a named collection of rows (for tables) or series
-(for figures) plus free-form notes.  The ``main()`` helpers print the result
-in a paper-like layout so each experiment can also be run as a script::
-
-    python -m repro.experiments.table1_fixed_threshold
-
-Results are plain data (lists/dicts of floats), so EXPERIMENTS.md and the
-benchmark assertions consume them directly.
+(for figures) plus free-form notes.  :class:`repro.api.Experiment` lifts it
+into a typed :class:`repro.api.Artifact`, which is what the CLI prints and
+saves.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
-from ..api import Study
-from ..api.experiment import _format_value
-from ..runner import BatchReport, ResultCache
-
-__all__ = ["ExperimentResult", "format_table", "run_subtasks", "default_cache_dir"]
+__all__ = ["ExperimentResult", "format_table", "default_cache_dir"]
 
 #: Environment override for where experiment sweeps cache their results.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -30,35 +22,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 def default_cache_dir() -> str:
     """The result-cache root: ``$REPRO_CACHE_DIR`` or ``.repro-cache/``."""
     return os.environ.get(CACHE_DIR_ENV, ".repro-cache")
-
-
-def run_subtasks(
-    fn: str,
-    configs: Sequence[Mapping[str, Any]],
-    workers: int = 0,
-    cache_dir: Optional[str] = None,
-    force: bool = False,
-) -> Tuple[List[Any], BatchReport]:
-    """Run an experiment's per-unit subtasks through the batch runner.
-
-    ``fn`` is the dotted path of a module-level task function; each config is
-    passed as keyword arguments.  ``cache_dir=None`` disables caching (the
-    right default for tests and for cheap analytical experiments);
-    ``workers <= 1`` runs in-process.  Returns the ordered results plus the
-    execution report, which callers typically surface via
-    ``result.add_note(report.summary())``.
-
-    This is a thin veneer over :class:`repro.api.Study` (an explicit-config
-    task study); experiments that sweep an axis grid use the fluent form
-    directly.
-    """
-    run = (
-        Study.of_configs(fn, configs)
-        .cache(ResultCache(cache_dir) if cache_dir else None)
-        .force(force)
-        .run(workers=workers)
-    )
-    return run.raw, run.report
 
 
 @dataclass
@@ -72,23 +35,6 @@ class ExperimentResult:
 
     def add_note(self, note: str) -> None:
         self.notes.append(note)
-
-    def summary(self) -> str:
-        """Human-readable rendering of the experiment output."""
-        lines = [f"== {self.experiment_id}: {self.title} =="]
-        for key, value in self.data.items():
-            if isinstance(value, str):
-                lines.append(f"{key}:\n{value}")
-            elif isinstance(value, Mapping):
-                lines.append(f"{key}:")
-                for inner_key, inner_value in value.items():
-                    lines.append(f"  {inner_key}: {_format_value(inner_value)}")
-            else:
-                lines.append(f"{key}: {_format_value(value)}")
-        if self.notes:
-            lines.append("notes:")
-            lines.extend(f"  - {note}" for note in self.notes)
-        return "\n".join(lines)
 
 
 def format_table(

@@ -21,9 +21,8 @@ Two configuration choices make the comparison apples-to-apples:
   genuinely destroyed; at 6 Mbps the capture effect rescues a winner from
   nearly every collision, again outside the model's assumptions.
 
-Run it from either CLI grammar::
+Run it from the command line::
 
-    python -m repro.experiments.bianchi_vs_sim
     python -m repro.experiments run bianchi-vs-sim --set n_senders=2,5
 """
 
@@ -39,7 +38,7 @@ from ..runner import ResultCache
 from ..scenarios import Scenario
 from .base import ExperimentResult, default_cache_dir
 
-__all__ = ["main", "run", "build_scenarios", "EXPERIMENT"]
+__all__ = ["run", "build_scenarios", "EXPERIMENT"]
 
 EXPERIMENT_ID = "bianchi-vs-sim"
 
@@ -156,12 +155,3 @@ EXPERIMENT = experiment(
     tags=("analytical", "packet-level"),
     series_keys=("curve",),
 )
-
-
-def main() -> int:
-    print(run().summary())
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -17,7 +17,6 @@ concurrency -- throughput the static configuration loses at every burst
 level.  ``recovery`` tabulates the endpoint (adaptive/static gain per
 duty cycle); ``epoch_series`` holds the climb itself::
 
-    python -m repro.experiments.control_under_burst
     python -m repro.experiments run control-under-burst --set off_fracs=0.2,0.5
 """
 
@@ -31,7 +30,7 @@ from ..runner import ResultCache
 from ..scenarios import Scenario
 from .base import ExperimentResult, default_cache_dir
 
-__all__ = ["main", "run", "build_scenarios", "EXPERIMENT"]
+__all__ = ["run", "build_scenarios", "EXPERIMENT"]
 
 EXPERIMENT_ID = "control-under-burst"
 
@@ -164,12 +163,3 @@ EXPERIMENT = experiment(
     tags=("packet-level", "control", "sweep"),
     series_keys=("epoch_series",),
 )
-
-
-def main() -> int:
-    print(run().summary())
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

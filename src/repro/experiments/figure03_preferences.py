@@ -60,11 +60,3 @@ EXPERIMENT = experiment(
     run,
     tags=("analytical",),
 )
-
-
-def main() -> None:
-    print(run().summary())
-
-
-if __name__ == "__main__":
-    main()

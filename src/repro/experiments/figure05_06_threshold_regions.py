@@ -94,11 +94,3 @@ EXPERIMENT = experiment(
     run,
     tags=("analytical",),
 )
-
-
-def main() -> None:
-    print(run().summary())
-
-
-if __name__ == "__main__":
-    main()

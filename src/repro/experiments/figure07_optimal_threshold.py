@@ -87,11 +87,3 @@ EXPERIMENT = experiment(
     tags=("analytical",),
     series_keys=("curves",),
 )
-
-
-def main() -> None:
-    print(run().summary())
-
-
-if __name__ == "__main__":
-    main()

@@ -80,11 +80,3 @@ EXPERIMENT = experiment(
     tags=("analytical", "testbed"),
     exclude_params=("layout",),
 )
-
-
-def main() -> None:
-    print(run().summary())
-
-
-if __name__ == "__main__":
-    main()

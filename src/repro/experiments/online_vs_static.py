@@ -19,7 +19,6 @@ The interesting output is the per-epoch trace (one Artifact table): the
 adaptive arms start at the static-default operating point and walk toward
 the tuned one, so the gap they close is visible window by window::
 
-    python -m repro.experiments.online_vs_static
     python -m repro.experiments run online-vs-static --set seeds=3
 """
 
@@ -33,7 +32,7 @@ from ..runner import ResultCache
 from ..scenarios import Scenario
 from .base import ExperimentResult, default_cache_dir
 
-__all__ = ["main", "run", "build_scenarios", "EXPERIMENT"]
+__all__ = ["run", "build_scenarios", "EXPERIMENT"]
 
 EXPERIMENT_ID = "online-vs-static"
 
@@ -181,12 +180,3 @@ EXPERIMENT = experiment(
     run,
     tags=("packet-level", "control", "ablation"),
 )
-
-
-def main() -> int:
-    print(run().summary())
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

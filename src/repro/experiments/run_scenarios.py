@@ -8,18 +8,23 @@ repeated invocation is a pure cache hit; the keys match those the
 pre-Study CLI wrote), and aggregates the sweep's columnar
 :class:`~repro.results.ResultSet` into an :class:`ExperimentResult`.
 
-Examples::
+:func:`run` is the registered experiment body; the flag grammar below parses
+into exactly its keyword arguments (each flag's dest is the keyword's name),
+so both forms run the same sweep under the same cache keys.  Bad input
+raises ``ValueError`` before any task runs; the command lines print it as
+``run-scenarios: <message>`` and exit 1.  Examples::
 
     python -m repro.experiments run-scenarios --topology scale_free --nodes 50 --workers 4
     python -m repro.experiments run-scenarios --topology uniform_disc,grid \
         --nodes 10 --nodes 20 --sigma 0 --sigma 8 --seeds 3 --workers 4
+    python -m repro.experiments run run-scenarios --set topology=grid --set nodes=10,20
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..api import Study
 from ..api.experiment import experiment
@@ -33,13 +38,15 @@ __all__ = ["main", "run", "build_study", "build_scenarios", "EXPERIMENT"]
 EXPERIMENT_ID = "run-scenarios"
 
 
-def _parse_optional_float(value: str) -> Optional[float]:
-    """Shared parser for float flags that accept an "off" keyword.
+def _optional_float(value: Any) -> Optional[float]:
+    """A float, or ``None`` for ``None`` and the words "off"/"none"/"disabled".
 
-    ``--cca off`` disables carrier sense (the concurrency configuration);
-    ``--prune-margin off`` runs the unpruned reference medium.
+    ``cca`` "off" disables carrier sense (the concurrency configuration);
+    ``prune_margin`` "off" runs the unpruned reference medium.
     """
-    if value.lower() in ("off", "none", "disabled"):
+    if value is None or (
+        isinstance(value, str) and value.lower() in ("off", "none", "disabled")
+    ):
         return None
     return float(value)
 
@@ -62,11 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="spatial extent(s) in metres (repeatable; default: 120)")
     parser.add_argument("--sigma", action="append", type=float, default=None,
                         help="shadowing sigma(s) in dB (repeatable; default: 0)")
-    parser.add_argument("--cca", action="append", type=_parse_optional_float, default=None,
+    parser.add_argument("--cca", action="append", type=_optional_float, default=None,
                         help="CCA threshold(s) in dBm, or 'off' (repeatable; default: -82)")
     parser.add_argument("--rate", type=float, default=6.0, help="bitrate in Mbps (default: 6)")
     parser.add_argument(
-        "--prune-margin", type=_parse_optional_float, default=DEFAULT_DETECTABILITY_MARGIN_DB,
+        "--prune-margin", type=_optional_float, default=DEFAULT_DETECTABILITY_MARGIN_DB,
         help="medium pruning margin below the noise floor in dB, or 'off' for the "
              f"unpruned reference medium (default: {DEFAULT_DETECTABILITY_MARGIN_DB:g})",
     )
@@ -117,121 +124,110 @@ def _scenario_name(config: Dict[str, Any], replicate: Optional[int]) -> str:
     )
 
 
-def build_study(args: argparse.Namespace) -> Study:
-    """The CLI arguments as a fluent :class:`~repro.api.Study`."""
-    topologies: List[str] = []
-    for chunk in args.topology or ["uniform_disc"]:
-        topologies.extend(name.strip() for name in chunk.split(",") if name.strip())
+def _axis(value: Any, default: Sequence[Any]) -> List[Any]:
+    """A sweep axis from a scalar or a sequence; ``None`` (an absent
+    flag) selects the default axis."""
+    if value is None:
+        return list(default)
+    return list(value) if isinstance(value, (list, tuple)) else [value]
+
+
+def build_study(params: Mapping[str, Any]) -> Study:
+    """:func:`run`'s keyword arguments (or the parsed flags) as a
+    :class:`~repro.api.Study`."""
+    topologies = [
+        name.strip()
+        for chunk in _axis(params["topology"], ["uniform_disc"])
+        for name in str(chunk).split(",")
+        if name.strip()
+    ]
     for name in topologies:
         if name not in TOPOLOGIES:
             known = ", ".join(sorted(TOPOLOGIES))
-            raise SystemExit(f"unknown topology {name!r} (known: {known})")
-    if args.seeds < 1:
-        raise SystemExit("--seeds must be at least 1")
-
+            raise ValueError(f"unknown topology {name!r} (known: {known})")
     base = Scenario(
-        mac=args.mac,
-        traffic=args.traffic,
-        offered_load_pps=args.load,
-        rate_mbps=args.rate,
-        duration_s=args.duration,
-        detectability_margin_db=args.prune_margin,
-        cca_noise_db=args.cca_noise,
+        mac=params["mac"],
+        traffic=params["traffic"],
+        offered_load_pps=float(params["load"]),
+        rate_mbps=float(params["rate"]),
+        duration_s=float(params["duration"]),
+        detectability_margin_db=_optional_float(params["prune_margin"]),
+        cca_noise_db=float(params["cca_noise"]),
     )
     return (
         Study(base)
         .sweep(
             topology=topologies,
-            n_nodes=args.nodes or [10],
-            extent_m=args.extent or [120.0],
-            sigma_db=args.sigma or [0.0],
-            cca_threshold_dbm=args.cca if args.cca is not None else [-82.0],
+            n_nodes=[int(n) for n in _axis(params["nodes"], [10])],
+            extent_m=[float(e) for e in _axis(params["extent"], [120.0])],
+            sigma_db=[float(s) for s in _axis(params["sigma"], [0.0])],
+            cca_threshold_dbm=[_optional_float(c) for c in _axis(params["cca"], [-82.0])],
         )
-        .seeds(args.seeds, base_seed=args.base_seed)
+        .seeds(int(params["seeds"]), base_seed=int(params["base_seed"]))
         .named(_scenario_name)
     )
 
 
-def build_scenarios(args: argparse.Namespace) -> List[Scenario]:
-    """Expand the CLI arguments into validated concrete scenario specs."""
+def build_scenarios(params: Mapping[str, Any]) -> List[Scenario]:
+    """Expand the sweep into validated concrete scenario specs."""
     scenarios: List[Scenario] = []
-    for config in build_study(args).configs():
+    for config in build_study(params).configs():
         try:
             scenario = Scenario.from_config(config)
             scenario.placement()  # catch generator-level errors (e.g. too few nodes) now
         except (ValueError, KeyError) as exc:
-            raise SystemExit(f"invalid scenario {config['name']}: {exc}") from exc
+            raise ValueError(f"invalid scenario {config['name']}: {exc}") from exc
         scenarios.append(scenario)
     return scenarios
 
 
-def _sweep_result(args: argparse.Namespace, progress=None) -> ExperimentResult:
-    """Execute the sweep described by parsed arguments into an ExperimentResult."""
-    scenarios = build_scenarios(args)
-
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    if args.resume and cache is None:
-        raise SystemExit("--resume needs the result cache (drop --no-cache)")
+def _sweep(
+    params: Mapping[str, Any], progress: Optional[Callable[[str], None]] = None
+) -> ExperimentResult:
+    """The one sweep body behind :func:`run` and :func:`main`."""
+    if params["resume"] and params["no_cache"]:
+        raise ValueError("resume needs the result cache (drop no_cache)")
+    scenarios = build_scenarios(params)
+    cache_dir = params["cache_dir"] or default_cache_dir()
+    cache = None if params["no_cache"] else ResultCache(cache_dir)
     # Warm-group dispatch comes with the Study facade: grid points sharing a
     # (topology, propagation) fingerprint travel in the same chunks so warm
     # worker pools rebuild the expensive network state once per group.
     study = (
         Study.of(scenarios)
         .cache(cache)
-        .force(args.force)
-        .retries(args.retries)
-        .task_timeout(args.task_timeout)
-        .on_error(args.on_error)
+        .force(params["force"])
+        .retries(params["retries"])
+        .task_timeout(params["task_timeout"])
+        .on_error(params["on_error"])
     )
     if cache is not None:
         # Journal next to the cache so a crashed/killed sweep is resumable.
-        study = study.journal(default_journal_path(cache.root), resume=args.resume)
-    study_run = study.run(workers=args.workers, progress=progress)
+        study = study.journal(default_journal_path(cache.root), resume=params["resume"])
+    study_run = study.run(workers=params["workers"], progress=progress)
 
+    results = study_run.results()
     result = ExperimentResult(EXPERIMENT_ID, "Scenario sweep")
     result.data["sweep"] = study_run.aggregate()
-    # The whole sweep as one typed columnar ResultSet: the artifact path
-    # persists it as an .npz sidecar; the text path prints its short repr.
-    result.data["results"] = study_run.results()
+    # The whole sweep as one typed columnar ResultSet: the artifact persists
+    # it as an .npz sidecar; the text summary prints its short repr.
+    result.data["results"] = results
     if study_run.failures:
         # Machine-readable manifest of every task that exhausted its retry
-        # budget (only reachable under --on-error skip).
+        # budget (only reachable under on_error="skip").
         result.data["failures"] = study_run.failures
         result.add_note(
             f"failures: {len(study_run.failures)} task(s) skipped after retries"
         )
-    if args.verbose:
+    if params["verbose"]:
         result.data["scenarios"] = {
             r["name"]: f"{r['total_pps']:.0f} pkt/s over {r['n_flows']} flows"
-            for r in study_run.summaries()
+            for r in results.scenarios
         }
     result.add_note(f"runner: {study_run.report.summary()}")
     if cache is not None:
-        result.add_note(f"cache: {(args.cache_dir or default_cache_dir())!s}")
+        result.add_note(f"cache: {cache_dir!s}")
     return result
-
-
-def _string_list(value) -> Optional[List[str]]:
-    """Normalise a scalar-or-sequence of names to a list of strings.
-
-    Comma-splitting of topology chunks happens downstream in
-    :func:`build_study`, exactly as for CLI-parsed arguments.
-    """
-    if value is None:
-        return None
-    if isinstance(value, str):
-        value = [value]
-    return [str(item) for item in value]
-
-
-def _value_list(value) -> Optional[List[Any]]:
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [value]
 
 
 def run(
@@ -266,36 +262,7 @@ def run(
     warm-group dispatch as the command line, returning the
     :class:`ExperimentResult` instead of printing it.
     """
-    args = argparse.Namespace(
-        topology=_string_list(topology),
-        nodes=None if nodes is None else [int(n) for n in _value_list(nodes)],
-        extent=None if extent is None else [float(e) for e in _value_list(extent)],
-        sigma=None if sigma is None else [float(s) for s in _value_list(sigma)],
-        cca=None if cca is None else [
-            _parse_optional_float(c) if isinstance(c, str)
-            else (None if c is None else float(c))
-            for c in _value_list(cca)
-        ],
-        rate=float(rate),
-        prune_margin=None if prune_margin is None else float(prune_margin),
-        cca_noise=float(cca_noise),
-        mac=mac,
-        traffic=traffic,
-        load=float(load),
-        duration=float(duration),
-        seeds=int(seeds),
-        base_seed=int(base_seed),
-        workers=int(workers),
-        cache_dir=cache_dir,
-        no_cache=bool(no_cache),
-        force=bool(force),
-        retries=int(retries),
-        task_timeout=None if task_timeout is None else float(task_timeout),
-        on_error=str(on_error),
-        resume=bool(resume),
-        verbose=bool(verbose),
-    )
-    return _sweep_result(args)
+    return _sweep(locals())
 
 
 EXPERIMENT = experiment(
@@ -307,13 +274,13 @@ EXPERIMENT = experiment(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    result = _sweep_result(
-        args, progress=lambda message: print(message, file=sys.stderr)
-    )
-    print(result.summary())
+    """The flag grammar: :func:`run`'s sweep with a stderr heartbeat,
+    printed as the same artifact summary ``run run-scenarios`` prints."""
+    params = vars(build_parser().parse_args(argv))
+    try:
+        result = _sweep(params, progress=lambda message: print(message, file=sys.stderr))
+    except ValueError as exc:
+        print(f"{EXPERIMENT_ID}: {exc}", file=sys.stderr)
+        return 1
+    print(EXPERIMENT._lift(result, params).summary())
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -15,7 +15,6 @@ warm-dispatch grouping, disk cache, and multiprocessing pool as every other
 sweep -- and aggregate into one columnar
 :class:`~repro.results.ResultSet`::
 
-    python -m repro.experiments.saturated_network
     python -m repro.experiments run saturated-network --set nodes=4,8
 """
 
@@ -31,7 +30,7 @@ from ..runner import ResultCache
 from ..scenarios import Scenario
 from .base import ExperimentResult, default_cache_dir
 
-__all__ = ["main", "run", "build_scenarios", "EXPERIMENT"]
+__all__ = ["run", "build_scenarios", "EXPERIMENT"]
 
 EXPERIMENT_ID = "saturated-network"
 
@@ -163,12 +162,3 @@ EXPERIMENT = experiment(
     run,
     tags=("packet-level", "sweep"),
 )
-
-
-def main() -> int:
-    print(run().summary())
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -161,13 +161,3 @@ EXPERIMENT = experiment(
     tags=("packet-level", "testbed", "slow"),
     exclude_params=("layout",),
 )
-
-
-def main() -> None:
-    outcome = run(n_combinations=8, run_duration_s=3.0)
-    outcome.data.pop("study", None)
-    print(outcome.summary())
-
-
-if __name__ == "__main__":
-    main()

@@ -144,16 +144,3 @@ EXPERIMENT_LONG = experiment(
     defaults={"link_class": "long"},
     series_keys=("scatter",),
 )
-
-
-def main() -> None:
-    for link_class in ("short", "long"):
-        outcome = run(link_class=link_class, n_combinations=8, run_duration_s=3.0)
-        data = {k: v for k, v in outcome.data.items() if k not in ("campaign", "scatter")}
-        outcome.data = data
-        print(outcome.summary())
-        print()
-
-
-if __name__ == "__main__":
-    main()

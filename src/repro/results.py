@@ -7,15 +7,11 @@ plus a scenario index: one JSON-able metadata dict per scenario (name,
 topology, seed, summary scalars, events processed) that every flow row
 points into via ``scenario_idx``.
 
-It replaces the per-flow dict-of-dicts that :meth:`repro.scenarios.Scenario.run`
-used to return.  Converters keep every old caller working:
-
-* :meth:`from_flow_dicts` lifts legacy result dicts (``{"name": ...,
-  "per_flow_pps": {"a->b": pps, ...}, ...}``) into a ResultSet;
-* :meth:`to_flow_dicts` emits exactly that legacy encoding back (the
-  documented shim for dict consumers and for old JSON cache entries);
-* single-scenario ResultSets answer ``rs["total_pps"]`` / ``rs["per_flow_pps"]``
-  like the old dict did, so existing subscript consumers run unchanged.
+It is what :meth:`repro.scenarios.Scenario.run` returns and what every sweep
+concatenates.  Flow columns are attributes (``rs.delivered_pps``) or
+:meth:`column` lookups; scenario-level scalars live in ``rs.scenarios``
+(``rs.scenarios[0]["total_pps"]``); :meth:`to_flow_records` gives the
+row-oriented JSON-able form.
 
 On disk a ResultSet is one compressed ``.npz`` (columns + a JSON manifest
 embedded as UTF-8 bytes) -- see :meth:`save` / :meth:`load` and the
@@ -34,7 +30,7 @@ from __future__ import annotations
 
 import io
 import json
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -42,15 +38,7 @@ __all__ = ["ResultSet", "FLOW_COLUMNS", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
 
-#: Scenario-level scalar fields, in the legacy dict's key order.  ``None`` in
-#: a value marks fields the legacy encoding did not carry.
-_SCENARIO_FIELDS = (
-    "name", "topology", "n_nodes", "n_flows", "seed", "duration_s",
-    "total_pps", "mean_flow_pps", "min_flow_pps", "max_flow_pps",
-    "events_processed",
-)
-
-#: Float flow columns (NaN = not measured, e.g. converted legacy results).
+#: Float flow columns (NaN = not measured).
 #: ``delay_p50_s`` / ``delay_p99_s`` are reservoir-estimated delay
 #: percentiles (see :class:`repro.simulation.stats.DelayReservoir`).
 _FLOAT_COLUMNS = (
@@ -70,8 +58,6 @@ _INT_COLUMNS = (
 #: Public flow-column names, including the decoded string columns.
 FLOW_COLUMNS = ("src", "dst", "scenario_idx") + _FLOAT_COLUMNS + _INT_COLUMNS
 
-_LEGACY_SEPARATOR = "->"
-
 
 def _empty_columns(n: int) -> Dict[str, np.ndarray]:
     columns: Dict[str, np.ndarray] = {}
@@ -85,9 +71,9 @@ def _empty_columns(n: int) -> Dict[str, np.ndarray]:
 class ResultSet:
     """Columnar per-flow results for one or many scenarios.
 
-    Construct via :meth:`from_flow_dicts`, :meth:`from_flows`, or the
-    producers (:meth:`repro.scenarios.Scenario.run`,
-    :class:`repro.api.Study`); the raw ``__init__`` takes pre-built arrays.
+    Construct via :meth:`from_flows`, :meth:`concat`, or the producers
+    (:meth:`repro.scenarios.Scenario.run`, :class:`repro.api.Study`); the raw
+    ``__init__`` takes pre-built arrays.
     """
 
     __slots__ = (
@@ -203,77 +189,7 @@ class ResultSet:
             **columns,
         )
 
-    @classmethod
-    def from_flow_dicts(
-        cls, results: Union[Mapping[str, Any], Sequence[Any]]
-    ) -> "ResultSet":
-        """Lift legacy per-flow result dict(s) into a ResultSet.
-
-        Accepts one legacy dict or a sequence mixing legacy dicts and
-        ResultSets (the shape a cache-backed sweep produces when some
-        entries predate the columnar format).  Only the legacy fields are
-        recoverable: the packet-count/offered/loss/delay columns of
-        converted rows hold their "not measured" sentinels.
-        """
-        if isinstance(results, Mapping):
-            results = [results]
-        parts: List[ResultSet] = []
-        for result in results:
-            if isinstance(result, ResultSet):
-                parts.append(result)
-                continue
-            meta = {
-                field: result[field] for field in _SCENARIO_FIELDS if field in result
-            }
-            per_flow = result.get("per_flow_pps", {})
-            flows: List[Tuple[str, str]] = []
-            pps: List[float] = []
-            for key, value in per_flow.items():
-                src, sep, dst = key.partition(_LEGACY_SEPARATOR)
-                if not sep:
-                    raise ValueError(f"per-flow key {key!r} is not 'src{_LEGACY_SEPARATOR}dst'")
-                flows.append((src, dst))
-                pps.append(float(value))
-            parts.append(cls.from_flows(meta, flows, delivered_pps=pps))
-        return cls.concat(parts)
-
-    @classmethod
-    def coerce(cls, results: Any) -> "ResultSet":
-        """Normalise a ResultSet, legacy dict, or mixed sequence to a ResultSet."""
-        if isinstance(results, ResultSet):
-            return results
-        return cls.from_flow_dicts(results)
-
-    # -- legacy encoding -------------------------------------------------------
-
-    def _legacy_dict(
-        self, index: int, rows: np.ndarray, src: np.ndarray, dst: np.ndarray
-    ) -> Dict[str, Any]:
-        entry = self.scenarios[index]
-        legacy: Dict[str, Any] = {
-            field: entry[field] for field in _SCENARIO_FIELDS if field in entry
-        }
-        per_flow: Dict[str, float] = {}
-        for row in rows:
-            per_flow[f"{src[row]}{_LEGACY_SEPARATOR}{dst[row]}"] = float(
-                self.delivered_pps[row]
-            )
-        # per_flow_pps sits before events_processed in the historical order;
-        # dict equality ignores order, but keep the rendering familiar.
-        events = legacy.pop("events_processed", None)
-        legacy["per_flow_pps"] = per_flow
-        if events is not None:
-            legacy["events_processed"] = events
-        return legacy
-
-    def to_flow_dicts(self) -> List[Dict[str, Any]]:
-        """The legacy encoding: one ``Scenario.run``-style dict per scenario."""
-        by_scenario = self._rows_by_scenario()
-        src, dst = self.src, self.dst  # decode the name columns once
-        return [
-            self._legacy_dict(i, by_scenario[i], src, dst)
-            for i in range(self.n_scenarios)
-        ]
+    # -- row form --------------------------------------------------------------
 
     def to_flow_records(self) -> List[Dict[str, Any]]:
         """Row-oriented records with every column (the JSON-able full schema)."""
@@ -314,6 +230,13 @@ class ResultSet:
     def concat(cls, parts: Iterable["ResultSet"]) -> "ResultSet":
         """Concatenate ResultSets: scenarios append, codes are remapped."""
         parts = [part for part in parts if part is not None]
+        for part in parts:
+            if not isinstance(part, ResultSet):
+                raise TypeError(
+                    f"ResultSet.concat got a {type(part).__name__}, not a ResultSet: "
+                    f"a result cached before the columnar format? Re-run with "
+                    f"force, or clear the result cache"
+                )
         if not parts:
             return cls.empty()
         if len(parts) == 1:
@@ -413,34 +336,6 @@ class ResultSet:
                 **{name: getattr(filtered, name) for name in _FLOAT_COLUMNS + _INT_COLUMNS},
             ))
         return out
-
-    # -- dict-compat shim ------------------------------------------------------
-
-    def __getitem__(self, key: str) -> Any:
-        """Legacy subscript access.
-
-        Flow-column names return arrays.  Scenario-level keys (and the
-        reconstructed ``per_flow_pps`` mapping) answer like the old result
-        dict -- but only for single-scenario sets, where the old dict shape
-        is unambiguous.
-        """
-        if key in FLOW_COLUMNS:
-            return self.column(key)
-        if self.n_scenarios != 1:
-            raise KeyError(
-                f"{key!r}: scenario-level subscripting needs a single-scenario "
-                f"ResultSet (this one has {self.n_scenarios}); use .scenarios / "
-                f".to_flow_dicts() for sweeps"
-            )
-        if key == "per_flow_pps":
-            return self.to_flow_dicts()[0]["per_flow_pps"]
-        return self.scenarios[0][key]
-
-    def get(self, key: str, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default
 
     # -- equality --------------------------------------------------------------
 

@@ -8,17 +8,17 @@ same key are safe (last writer wins with identical content).
 
 Two result encodings share the store:
 
-* plain JSON-able results live inline in the ``.json`` entry (the original
-  format, still produced for non-columnar tasks);
+* plain JSON-able results (non-columnar tasks) live inline in the ``.json``
+  entry;
 * :class:`repro.results.ResultSet` results are written as a compact binary
   sidecar (``<hash>.npz``: compressed columns + embedded manifest) with the
   ``.json`` entry reduced to a JSON manifest pointing at it.  This is what
   keeps cache directories small on large sweeps -- flow tables compress far
   better as typed columns than as per-flow dict text.
 
-Entries written before the columnar format (plain dict scenario results)
-load unchanged; sweep-level consumers lift them through
-:meth:`repro.results.ResultSet.coerce`.
+A scenario entry written before the columnar format (an inline dict) is
+returned as stored; :meth:`repro.results.ResultSet.concat` rejects it with a
+``TypeError`` naming the remedy (re-run with ``force``, or clear the cache).
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ class ResultCache:
         """The cached entry for ``key`` (``{"config", "result"}``) or ``None``.
 
         Columnar entries come back with ``entry["result"]`` already loaded
-        into a :class:`~repro.results.ResultSet`; legacy inline-JSON entries
-        are returned as stored.
+        into a :class:`~repro.results.ResultSet`; inline-JSON entries are
+        returned as stored.
         """
         path = self._path(key)
         try:

@@ -15,7 +15,6 @@ from .execute import (
     aggregate_metrics,
     run_scenario,
     scenario_group_key,
-    scenario_summaries,
     scenario_task,
     unpruned_variant,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "register_topology",
     "run_scenario",
     "scenario_group_key",
-    "scenario_summaries",
     "scenario_task",
     "unpruned_variant",
 ]

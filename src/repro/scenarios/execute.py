@@ -20,7 +20,7 @@ submission chunks, which maximises per-worker hit rates.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "scenario_task",
     "scenario_group_key",
     "aggregate_metrics",
-    "scenario_summaries",
     "unpruned_variant",
 ]
 
@@ -104,35 +103,13 @@ def scenario_group_key(task: BatchTask) -> Any:
         return ()
 
 
-def scenario_summaries(
-    results: Union[ResultSet, Sequence[Any]]
-) -> List[Dict[str, Any]]:
-    """Flatten sweep output into one summary dict per scenario.
-
-    Accepts the columnar forms (one ResultSet, or a sequence of per-task
-    ResultSets) as well as legacy per-flow dicts -- including a mixed
-    sequence, which is what a cache-backed sweep yields when some entries
-    predate the columnar format and load through the dict shim.
-    """
-    if isinstance(results, ResultSet):
-        return list(results.scenarios)
-    summaries: List[Dict[str, Any]] = []
-    for result in results:
-        if isinstance(result, ResultSet):
-            summaries.extend(result.scenarios)
-        else:
-            summaries.append(result)
-    return summaries
-
-
-def aggregate_metrics(results: Union[ResultSet, Sequence[Any]]) -> Dict[str, Any]:
+def aggregate_metrics(results: ResultSet) -> Dict[str, Any]:
     """Summarise a sweep into sweep-level statistics.
 
-    Operates on the scenario index columns (array reductions over the
-    per-scenario ``total_pps`` values), producing byte-identical numbers to
-    the historical dict-walking implementation.
+    Reduces the scenario index: the mean/min/max of the per-scenario
+    ``total_pps`` values, overall and per topology.
     """
-    summaries = scenario_summaries(results)
+    summaries = results.scenarios
     if not summaries:
         return {"n_scenarios": 0}
     totals = np.asarray([r["total_pps"] for r in summaries], dtype=float)

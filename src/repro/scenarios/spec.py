@@ -390,11 +390,9 @@ class Scenario:
         The set holds one flow row per directed flow (delivered/offered
         throughput and packet counts, loss fraction, and mean MAC
         enqueue-to-delivery delay from the receivers' frame timestamps) plus
-        one scenario-index entry carrying exactly the summary scalars the
-        legacy dict did.  Dict consumers keep working: single-scenario
-        subscripting (``result["total_pps"]``) and
-        :meth:`ResultSet.to_flow_dicts` expose the historical encoding
-        unchanged.
+        one scenario-index entry with the summary scalars (name, topology,
+        seed, ``total_pps``, ``events_processed``, ...), read as
+        ``result.scenarios[0]["total_pps"]``.
 
         With ``controller`` set, the run is driven through
         :class:`repro.control.env.SimEnv` in ``control_epoch_s`` windows and

@@ -2,7 +2,7 @@
 
 Two contracts dominate: (1) the ``run-scenarios`` CLI and the figure
 experiments produce byte-identical metrics through the Study/ResultSet path
-(the legacy grid expansion is frozen inline here as the reference), and
+(the pre-Study grid expansion is frozen inline here as the reference), and
 (2) new topologies / traffic models / MACs plug in through the registries
 without touching Scenario internals.
 """
@@ -76,7 +76,7 @@ class TestCliParity:
     def test_study_expansion_matches_legacy_cli_exactly(self):
         """Same scenarios, same order, same seeds/names -- same cache keys."""
         args = run_scenarios.build_parser().parse_args(self.ARGV)
-        new = run_scenarios.build_scenarios(args)
+        new = run_scenarios.build_scenarios(vars(args))
         old = legacy_build_scenarios(args)
         assert new == old
         assert [scenario_task(s).cache_key for s in new] == [
@@ -84,14 +84,14 @@ class TestCliParity:
         ]
 
     def test_cli_metrics_byte_identical_to_direct_runs(self, capsys):
-        """The printed sweep aggregate equals the dict-era computation."""
+        """The printed sweep aggregate equals direct runs of the frozen grid."""
         argv = ["--topology", "exposed_terminal", "--nodes", "4", "--nodes", "8",
                 "--duration", "0.1", "--no-cache"]
         assert run_scenarios.main(argv) == 0
         printed = capsys.readouterr().out
         args = run_scenarios.build_parser().parse_args(argv)
         reference = aggregate_metrics(
-            [s.run().to_flow_dicts()[0] for s in legacy_build_scenarios(args)]
+            ResultSet.concat([s.run() for s in legacy_build_scenarios(args)])
         )
         for key in ("total_pps_mean", "total_pps_min", "total_pps_max"):
             assert f"{key}: {reference[key]:.4g}" in printed
@@ -137,7 +137,7 @@ class TestStudyFacade:
         results = run.results()
         assert isinstance(results, ResultSet)
         assert results.n_scenarios == 2
-        assert run.aggregate() == aggregate_metrics(run.raw)
+        assert run.aggregate() == aggregate_metrics(ResultSet.concat(run.raw))
         warm = (
             Study(topology="line", duration_s=0.1)
             .sweep(n_nodes=[4, 6])
@@ -149,25 +149,31 @@ class TestStudyFacade:
         assert warm.results() == results
 
     def test_mixed_old_and_new_cache_entries(self, tmp_path):
-        """A sweep where one entry predates the columnar format still lifts."""
+        """A sweep where one entry predates the columnar format (an inline
+        dict result) fails on ``results()`` with a TypeError that names the
+        stale part and the remedy; ``force`` rewrites it columnar."""
         study = Study(topology="line", duration_s=0.1).sweep(n_nodes=[4, 6])
         scenarios = study.scenarios()
         cache = ResultCache(tmp_path / "cache")
         # Pre-seed task 0 with an old-format inline-JSON entry.
         task = scenario_task(scenarios[0])
-        legacy = scenarios[0].run().to_flow_dicts()[0]
+        stale = {"name": scenarios[0].name, "total_pps": 1.0, "per_flow_pps": {"a->b": 1.0}}
         path = cache._path(task.cache_key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(
-            {"key": task.cache_key, "config": task.config, "result": legacy}
+            {"key": task.cache_key, "config": task.config, "result": stale}
         ))
         run = study.cache(cache).run()
         assert run.report.cache_hits == 1 and run.report.executed == 1
-        results = run.results()
-        assert results.n_scenarios == 2
-        fresh = ResultSet.coerce([s.run() for s in scenarios])
-        assert results.to_flow_dicts() == fresh.to_flow_dicts()
-        assert run.aggregate() == aggregate_metrics(fresh)
+        with pytest.raises(TypeError, match=r"got a dict.*force.*clear the result cache"):
+            run.results()
+        with pytest.raises(TypeError, match="got a dict"):
+            run.aggregate()
+
+        forced = study.cache(cache).force().run()
+        fresh = ResultSet.concat([s.run() for s in scenarios])
+        assert forced.results() == fresh
+        assert study.cache(cache).run().results() == fresh  # rewritten columnar
 
     def test_task_study_explicit_and_swept(self):
         base = {"base_seed": 7}
@@ -257,8 +263,8 @@ class TestRegistries:
 
         try:
             rs = Scenario(topology="two_pair_test", n_nodes=4, duration_s=0.1).run()
-            assert rs["topology"] == "two_pair_test"
-            assert rs.n_flows == 1 and rs["total_pps"] > 0
+            assert rs.scenarios[0]["topology"] == "two_pair_test"
+            assert rs.n_flows == 1 and rs.scenarios[0]["total_pps"] > 0
         finally:
             registry.TOPOLOGIES.unregister("two_pair_test")
 
@@ -275,7 +281,8 @@ class TestRegistries:
             assert Scenario.from_config(custom.as_config()) == custom
             rs = custom.run()
             small = Scenario(traffic="saturated_small", **base).run()
-            assert rs["total_pps"] > small["total_pps"] > 0  # smaller frames -> more pps
+            # smaller frames -> more pps
+            assert rs.scenarios[0]["total_pps"] > small.scenarios[0]["total_pps"] > 0
         finally:
             registry.TRAFFIC_MODELS.unregister("saturated_small")
 

@@ -306,6 +306,4 @@ def test_slab_engine_matches_legacy_engine(topology, monkeypatch):
     monkeypatch.setattr(network_module, "Simulator", LegacySimulator)
     legacy_result = scenario.run()
 
-    assert slab_result["per_flow_pps"] == legacy_result["per_flow_pps"]
-    assert slab_result["events_processed"] == legacy_result["events_processed"]
     assert slab_result == legacy_result

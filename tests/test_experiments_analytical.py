@@ -2,7 +2,7 @@
 
 These check that each harness runs end-to-end and that the quantities it
 reports reproduce the paper's qualitative claims.  The full-scale paper
-comparisons live in the benchmarks and EXPERIMENTS.md.
+comparisons live in the benchmarks.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import EXPERIMENTS
 from repro.experiments import (
     ablation_fixed_bitrate,
     ablation_noise_floor,
@@ -127,6 +128,5 @@ class TestAblations:
         assert fixed < adaptive
 
     def test_experiment_result_summary_renders(self):
-        result = figure03_preferences.run(rmax_values=(50.0,))
-        text = result.summary()
+        text = EXPERIMENTS["figure-03"].run(rmax_values=(50.0,)).summary()
         assert "figure-03" in text and "notes:" in text

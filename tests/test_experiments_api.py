@@ -1,15 +1,19 @@
 """The declarative experiment API: registry, typed params, artifacts, CLI.
 
-Covers the PR 5 contract: every paper harness is a registered
-:class:`repro.api.Experiment`; running one through the new path produces an
-:class:`repro.api.Artifact` whose numbers are identical to the legacy
-module-level ``run()`` path (parity-pinned below, at reduced parameters);
-artifacts round-trip through disk; and both CLI grammars keep working.
+Every paper harness is a registered :class:`repro.api.Experiment`; running
+one produces an :class:`repro.api.Artifact` whose numbers match the golden
+fixture ``tests/data/experiment_artifacts.json`` (at reduced parameters);
+artifacts round-trip through disk; and the ``list | describe | run`` CLI
+plus the ``run-scenarios`` flag grammar behave as documented.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +21,7 @@ import pytest
 import repro.experiments  # noqa: F401 -- registers the builtin experiments
 from repro.api import EXPERIMENTS, Artifact, Param, ResultSet, experiment
 from repro.api.experiment import parse_overrides
-from repro.experiments import REGISTRY
-from repro.experiments.__main__ import SLOW_EXPERIMENTS, main
+from repro.experiments.__main__ import main
 
 ALL_IDS = (
     "figure-02",
@@ -78,16 +81,8 @@ class TestDiscovery:
             assert exp.id == name
 
     def test_slow_tag_matches_historical_slow_tuple(self):
-        assert set(SLOW_EXPERIMENTS) == {"figures-10-11", "figures-12-13", "section-5"}
-
-    def test_legacy_registry_mirrors_experiments(self):
-        # Same ids and order as the pre-Experiment dict (minus run-scenarios,
-        # which has its own sweep grammar, and the post-dict networking
-        # experiments, which were never part of the legacy registry).
-        post_legacy = ("run-scenarios", "saturated-network", "bianchi-vs-sim")
-        assert list(REGISTRY) == [name for name in ALL_IDS if name not in post_legacy]
-        for name, runner in REGISTRY.items():
-            assert callable(runner)
+        slow = {name for name in EXPERIMENTS if "slow" in EXPERIMENTS[name].tags}
+        assert slow == {"figures-10-11", "figures-12-13", "section-5"}
 
     def test_plugin_experiment_registers_like_builtins(self):
         def body(x: float = 1.0):
@@ -159,42 +154,63 @@ class TestParamSpec:
             EXPERIMENTS["table-1"].run(bogus=1)
 
 
-def _assert_same(a, b, where):
-    """Exact recursive equality that tolerates numpy arrays in containers."""
-    if isinstance(a, ResultSet) or isinstance(b, ResultSet):
-        assert a == b, where
-    elif isinstance(a, dict) and isinstance(b, dict):
-        assert set(a) == set(b), where
-        for key in a:
-            _assert_same(a[key], b[key], f"{where}.{key}")
-    elif isinstance(a, (list, tuple, np.ndarray)) or isinstance(b, (list, tuple, np.ndarray)):
-        arr_a, arr_b = np.asarray(a), np.asarray(b)
-        equal_nan = arr_a.dtype.kind == "f" and arr_b.dtype.kind == "f"
-        assert np.array_equal(arr_a, arr_b, equal_nan=equal_nan), where
-    elif isinstance(a, float) and isinstance(b, float) and np.isnan(a) and np.isnan(b):
-        pass
+GOLDEN_PATH = Path(__file__).parent / "data" / "experiment_artifacts.json"
+
+
+def _golden_entry(artifact: Artifact) -> dict:
+    """What the golden fixture pins per experiment: the artifact's JSON
+    payloads plus a sha256 of each attached ResultSet's binary form."""
+    manifest = artifact.manifest()
+    return {
+        "scalars": manifest["scalars"],
+        "tables": manifest["tables"],
+        "series": manifest["series"],
+        "result_sets": {
+            name: hashlib.sha256(rs.to_bytes()).hexdigest()
+            for name, rs in artifact.result_sets.items()
+        },
+    }
+
+
+def _assert_close(actual, expected, where):
+    """Floats within rel=1e-9 (NaN matches NaN); everything else exactly."""
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict) and list(actual) == list(expected), where
+        for key in expected:
+            _assert_close(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for index, (a, e) in enumerate(zip(actual, expected)):
+            _assert_close(a, e, f"{where}[{index}]")
+    elif isinstance(expected, float) or isinstance(actual, float):
+        assert type(actual) in (int, float) and type(expected) in (int, float), where
+        if math.isnan(expected):
+            assert math.isnan(actual), where
+        else:
+            assert actual == pytest.approx(expected, rel=1e-9, abs=0.0), where
     else:
-        assert a == b, where
+        assert type(actual) is type(expected) and actual == expected, where
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", ALL_IDS)
-def test_parity_new_path_matches_legacy(name):
-    """Every registered experiment's numbers are identical through the
-    Experiment/Artifact path and the legacy run() path."""
-    exp = EXPERIMENTS[name]
-    kwargs = REDUCED[name]
-    artifact = exp.run(**kwargs)
-    legacy = exp.legacy_run(**kwargs)
-
-    merged = artifact.data()
-    for key, value in legacy.data.items():
-        assert key in merged, f"{name}: {key!r} missing from artifact"
-        if key in artifact.extras:
-            continue  # non-persistable attachments (campaign/study objects)
-        _assert_same(merged[key], value, f"{name}:{key}")
-    assert len(artifact.notes) == len(legacy.notes)
+def test_parity_new_path_matches_legacy(name, golden):
+    """Every registered experiment reproduces, at REDUCED parameters, the
+    numbers pinned in the golden fixture.  The fixture was captured on the
+    last tree that could also run each harness outside the Artifact path,
+    where a parity test held both paths identical."""
+    artifact = EXPERIMENTS[name].run(**REDUCED[name])
+    expected = golden[name]
+    actual = _golden_entry(artifact)
+    for part in ("scalars", "tables", "series"):
+        _assert_close(json.loads(json.dumps(actual[part])), expected[part], f"{name}.{part}")
+    assert actual["result_sets"] == expected["result_sets"], name
     # The declared params all appear resolved in the artifact.
-    for param in exp.params:
+    for param in EXPERIMENTS[name].params:
         assert param.name in artifact.params
 
 
@@ -301,23 +317,24 @@ class TestNewCli:
 
 
 class TestLegacyCliGrammar:
-    def test_no_args_lists_experiments(self, capsys):
-        assert main([]) == 0
-        out = capsys.readouterr().out
-        assert "Available experiments:" in out
-        assert "  figure-02\n" in out
-        assert "  section-5 (slow)\n" in out
-        assert "run-scenarios" in out
+    """The bare-id grammar is gone: only ``list | describe | run`` and the
+    ``run-scenarios`` flag grammar parse."""
 
-    def test_single_experiment_runs_and_prints_summary(self, capsys):
-        assert main(["figure-03"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("== figure-03:")
-        assert "notes:" in out
+    def test_no_args_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
-    def test_unknown_experiment_fails(self, capsys):
-        assert main(["not-an-experiment"]) == 1
-        assert "unknown experiment" in capsys.readouterr().err
+    def test_bare_experiment_id_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table-1"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_unknown_experiment_fails(self):
+        with pytest.raises(SystemExit, match="unknown experiment 'not-an-experiment'"):
+            main(["run", "not-an-experiment"])
 
     def test_run_scenarios_delegates(self, tmp_path, capsys):
         argv = [
@@ -327,3 +344,53 @@ class TestLegacyCliGrammar:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "n_scenarios: 1" in out
+
+
+#: Inputs the run-scenarios body rejects: API kwargs, the same as flags and as
+#: ``--set`` assignments, and the expected message.
+BAD_SWEEPS = {
+    "zero-seeds": (dict(seeds=0), ["--seeds", "0"], ["seeds=0"], "seed replicate"),
+    "unknown-topology": (
+        dict(topology="nope"), ["--topology", "nope"], ["topology=nope"],
+        "unknown topology 'nope'",
+    ),
+    "one-node-grid": (
+        dict(topology="grid", nodes=1), ["--topology", "grid", "--nodes", "1"],
+        ["topology=grid", "nodes=1"], "invalid scenario grid-n1-.*at least two nodes",
+    ),
+    "resume-without-cache": (
+        dict(resume=True, no_cache=True), ["--resume", "--no-cache"],
+        ["resume=true", "no_cache=true"], "resume needs the result cache",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SWEEPS))
+class TestRunScenariosBadInput:
+    """Bad sweeps raise ValueError (never SystemExit) before any task runs;
+    both command lines report ``run-scenarios: <message>`` and exit 1."""
+
+    def test_api_raises_value_error(self, case, tmp_path):
+        kwargs, _, _, message = BAD_SWEEPS[case]
+        cache = tmp_path / "cache"
+        with pytest.raises(ValueError, match=message):
+            EXPERIMENTS["run-scenarios"].run(cache_dir=str(cache), duration=0.1, **kwargs)
+        assert not cache.exists()
+
+    def test_set_grammar_exits_1(self, case, tmp_path, capsys):
+        _, _, assignments, message = BAD_SWEEPS[case]
+        argv = ["run", "run-scenarios", "--set", f"cache_dir={tmp_path / 'cache'}"]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run-scenarios: ") and re.search(message, err)
+        assert not (tmp_path / "cache").exists()
+
+    def test_flag_grammar_exits_1(self, case, tmp_path, capsys):
+        _, flags, _, message = BAD_SWEEPS[case]
+        argv = ["run-scenarios", "--cache-dir", str(tmp_path / "cache"), *flags]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run-scenarios: ") and re.search(message, err)
+        assert not (tmp_path / "cache").exists()

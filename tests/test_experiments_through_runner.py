@@ -91,7 +91,7 @@ class TestRunScenariosCli:
         args = parser.parse_args(
             ["--topology", "line,grid", "--nodes", "4", "--nodes", "6", "--seeds", "2"]
         )
-        scenarios = run_scenarios.build_scenarios(args)
+        scenarios = run_scenarios.build_scenarios(vars(args))
         assert len(scenarios) == 2 * 2 * 2
         assert len({s.seed for s in scenarios}) == len(scenarios)
         assert len({s.name for s in scenarios}) == len(scenarios)

@@ -1,9 +1,9 @@
-"""repro.results: columnar ResultSet construction, conversion, and storage.
+"""repro.results: columnar ResultSet construction, combinators, and storage.
 
 The contract under test: the ResultSet is the native currency of scenario
-runs, and the legacy per-flow dict encoding survives round trips exactly --
-``from_flow_dicts(x).to_flow_dicts() == x`` for every seeded topology, old
-JSON cache entries load through the shim, and the binary form is lossless.
+runs; its binary form round-trips losslessly for every seeded topology; and
+a cache entry written before the columnar format is rejected with a
+``TypeError`` that names the remedy rather than silently lifted.
 """
 
 from __future__ import annotations
@@ -47,53 +47,43 @@ class TestScenarioRunProducesResultSet:
 
     def test_offered_pps_matches_counters(self):
         rs = small_resultset()
-        duration = rs["duration_s"]
+        duration = rs.scenarios[0]["duration_s"]
         assert np.array_equal(rs.offered_pps, rs.offered_packets / duration)
-
-    def test_legacy_subscript_shim(self):
-        rs = small_resultset()
-        legacy = rs.to_flow_dicts()[0]
-        for key in ("name", "topology", "n_nodes", "n_flows", "seed", "duration_s",
-                    "total_pps", "mean_flow_pps", "min_flow_pps", "max_flow_pps",
-                    "per_flow_pps", "events_processed"):
-            assert rs[key] == legacy[key]
-        assert rs.get("nonexistent", "fallback") == "fallback"
 
     def test_summary_scalars_match_per_flow_columns(self):
         rs = small_resultset()
-        assert rs["total_pps"] == float(sum(rs.delivered_pps.tolist()))
-        assert rs["min_flow_pps"] == rs.delivered_pps.min()
-        assert rs["max_flow_pps"] == rs.delivered_pps.max()
+        meta = rs.scenarios[0]
+        assert meta["total_pps"] == float(sum(rs.delivered_pps.tolist()))
+        assert meta["min_flow_pps"] == rs.delivered_pps.min()
+        assert meta["max_flow_pps"] == rs.delivered_pps.max()
 
     def test_multi_scenario_subscript_rejected(self):
-        both = ResultSet.concat([small_resultset(),
+        """No dict-style access at any width: scalars live in ``scenarios``,
+        flow columns are attributes or :meth:`ResultSet.column` lookups."""
+        single = small_resultset()
+        both = ResultSet.concat([single,
                                  Scenario(topology="line", n_nodes=4,
                                           duration_s=0.1, seed=1).run()])
-        with pytest.raises(KeyError, match="single-scenario"):
-            both["total_pps"]
-        # flow columns stay subscriptable at any width
-        assert len(both["delivered_pps"]) == both.n_flows
+        for rs in (single, both):
+            with pytest.raises(TypeError, match="not subscriptable"):
+                rs["total_pps"]
+            assert not hasattr(rs, "get")
+        assert len(both.column("delivered_pps")) == both.n_flows
 
 
 class TestRoundTripFidelity:
     @pytest.mark.parametrize(
         "scenario", ALL_TOPOLOGY_SCENARIOS, ids=lambda s: s.topology
     )
-    def test_from_to_flow_dicts_identity_every_topology(self, scenario):
-        """The acceptance property: from_flow_dicts(x).to_flow_dicts() == x."""
-        legacy = scenario.run().to_flow_dicts()
-        assert ResultSet.from_flow_dicts(legacy).to_flow_dicts() == legacy
-
-    def test_native_to_legacy_to_native_keeps_delivered_columns(self):
-        rs = small_resultset()
-        rehydrated = ResultSet.from_flow_dicts(rs.to_flow_dicts())
-        assert np.array_equal(rehydrated.delivered_pps, rs.delivered_pps)
-        assert np.array_equal(rehydrated.src, rs.src)
-        assert np.array_equal(rehydrated.dst, rs.dst)
-        assert rehydrated.scenarios == rs.scenarios
-        # legacy encoding never carried the extended columns
-        assert np.all(rehydrated.delivered_packets == -1)
-        assert np.all(np.isnan(rehydrated.offered_pps))
+    def test_bytes_round_trip_every_topology(self, scenario):
+        """``from_bytes(to_bytes(x)) == x`` and the bytes are reproducible."""
+        rs = scenario.run()
+        payload = rs.to_bytes()
+        assert ResultSet.from_bytes(payload) == rs
+        assert ResultSet.from_bytes(payload).to_bytes() == payload
+        assert [record["delivered_pps"] for record in rs.to_flow_records()] == (
+            rs.delivered_pps.tolist()
+        )
 
     def test_binary_round_trip_lossless(self, tmp_path):
         rs = ResultSet.concat([s.run() for s in ALL_TOPOLOGY_SCENARIOS[:3]])
@@ -107,10 +97,6 @@ class TestRoundTripFidelity:
         decoded = json.loads(json.dumps(manifest))
         assert decoded["n_flows"] == 2
         assert decoded["scenarios"][0]["topology"] == "exposed_terminal"
-
-    def test_bad_flow_key_rejected(self):
-        with pytest.raises(ValueError, match="src->dst"):
-            ResultSet.from_flow_dicts({"per_flow_pps": {"no-separator": 1.0}})
 
 
 class TestCombinators:
@@ -145,7 +131,9 @@ class TestCombinators:
             # Groups are pruned to their own scenarios, so per-group scenario
             # reductions (e.g. mean total_pps per topology) are scoped right.
             assert all(s["topology"] == name for s in group.scenarios)
-            assert group["total_pps"] == by_topology[name].scenarios[0]["total_pps"]
+            assert group.scenarios == [
+                p.scenarios[0] for p in parts if p.scenarios[0]["topology"] == name
+            ]
         by_dst = whole.group_by("dst")
         assert sum(g.n_flows for g in by_dst.values()) == whole.n_flows
 
@@ -155,7 +143,7 @@ class TestCombinators:
         only_last = whole.filter(whole.scenario_idx == 2, prune_scenarios=True)
         assert only_last.scenarios == [whole.scenarios[2]]
         assert np.all(only_last.scenario_idx == 0)
-        assert only_last.to_flow_dicts() == parts[2].to_flow_dicts()
+        assert only_last == parts[2]
 
     def test_split_inverts_concat(self):
         parts = [s.run() for s in ALL_TOPOLOGY_SCENARIOS[:3]]
@@ -186,23 +174,28 @@ class TestCacheIntegration:
         assert second.results == first.results
         assert isinstance(second.results[0], ResultSet)
 
-    def test_old_format_json_entry_loads_through_shim(self, tmp_path):
-        """A pre-columnar cache entry (inline dict result) still serves."""
+    def test_old_format_json_entry_rejected_by_concat(self, tmp_path):
+        """A pre-columnar cache entry (inline dict result) is served as
+        stored, and concatenating it raises a TypeError naming the remedy."""
         cache = ResultCache(tmp_path / "cache")
-        scenario = ALL_TOPOLOGY_SCENARIOS[0]
-        task = scenario_task(scenario)
-        legacy_result = scenario.run().to_flow_dicts()[0]
+        scenarios = ALL_TOPOLOGY_SCENARIOS[:2]
+        task = scenario_task(scenarios[0])
+        stale = {"name": scenarios[0].name, "total_pps": 1.0, "per_flow_pps": {"a->b": 1.0}}
         # Write the entry exactly as the pre-columnar cache did: inline JSON.
         path = cache._path(task.cache_key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(
-            {"key": task.cache_key, "config": task.config, "result": legacy_result}
+            {"key": task.cache_key, "config": task.config, "result": stale}
         ))
-        outcome = BatchRunner(workers=0, cache=cache).run([task])
+        tasks = [task, scenario_task(scenarios[1])]
+        outcome = BatchRunner(workers=0, cache=cache).run(tasks)
         assert outcome.report.cache_hits == 1
-        assert outcome.results[0] == legacy_result
-        lifted = ResultSet.coerce(outcome.results)
-        assert lifted.to_flow_dicts() == [legacy_result]
+        assert outcome.results[0] == stale
+        with pytest.raises(TypeError) as exc:
+            ResultSet.concat(outcome.results)
+        message = str(exc.value)
+        assert "got a dict" in message
+        assert "force" in message and "clear the result cache" in message
 
     @pytest.mark.parametrize("corruption", ["garbage", "truncated", "missing"])
     def test_corrupt_binary_sidecar_evicted_and_reexecuted(self, tmp_path, corruption):

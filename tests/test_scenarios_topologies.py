@@ -146,6 +146,6 @@ class TestScenarioSpec:
         """The subsystem reproduces the paper's core exposed-terminal effect."""
         base = Scenario(topology="exposed_terminal", n_nodes=4, extent_m=120.0,
                         duration_s=0.5, seed=3)
-        with_cs = base.run()["total_pps"]
-        without_cs = base.with_overrides(cca_threshold_dbm=None).run()["total_pps"]
+        with_cs = base.run().scenarios[0]["total_pps"]
+        without_cs = base.with_overrides(cca_threshold_dbm=None).run().scenarios[0]["total_pps"]
         assert without_cs > 1.2 * with_cs

@@ -411,8 +411,6 @@ class TestDelayTimestamping:
         ).run()
         assert np.all(np.isfinite(result.delay_s))
         assert np.all(result.delay_s > 0)
-        # The legacy dict encoding is unchanged (no delay key).
-        assert "delay_s" not in result.to_flow_dicts()[0]
 
     def test_retries_keep_the_original_timestamp(self):
         from repro.simulation.frames import Frame, FrameKind
