@@ -7,17 +7,17 @@ equivalence test runs.  This package machine-checks them at the AST level:
 
 * a small rule engine (:mod:`repro.analysis.engine`) walking ``src/repro``
   with per-file :class:`~repro.analysis.context.FileContext` dispatch,
-* ~9 project-specific syntactic rules (:mod:`repro.analysis.rules`)
-  encoding the invariants PRs 2-6 established by convention,
-* a whole-program layer (:mod:`repro.analysis.flow`): per-file facts,
-  a conservative call graph, and three interprocedural rules --
-  seed-provenance taint tracking, determinism reachability from
-  ``Scenario.run``/``Simulator.run``, and cache-key read-set soundness --
-  with an incremental fact cache keyed by source hash,
+* 9 project-specific syntactic rules (:mod:`repro.analysis.rules`)
+  encoding the invariants the simulator relies on by convention,
 * ``# simlint: disable=<rule>`` suppression comments for justified
   exceptions at the line, and a committed JSON baseline
   (:mod:`repro.analysis.baseline`) for grandfathered findings,
-* text, ``--json``, and ``--sarif`` reporters (:mod:`repro.analysis.report`).
+* text and ``--json`` reporters (:mod:`repro.analysis.report`).
+
+Two invariants a per-file rule cannot see are guarded at runtime instead:
+state carried from one run into the next (``tests/test_replay_invariants.py``
+replays every topology around an unrelated run) and scenario fields the
+result-cache key misses (the same file varies every ``Scenario`` field).
 
 Run it as ``python -m repro.analysis check`` (see :mod:`repro.analysis.__main__`)
 or from tests via :func:`run_checks` / :func:`check_source` /
@@ -30,28 +30,21 @@ from .baseline import Baseline, BaselineComparison
 from .context import FileContext
 from .engine import CheckRun, Rule, check_source, check_sources, run_checks
 from .findings import Finding
-from .flow import FLOW_RULE_CLASSES, FactCache, FlowRule, ProgramIndex, default_flow_rules
-from .report import render_json, render_sarif, render_text
+from .report import render_json, render_text
 from .rules import RULE_CLASSES, default_rules
 
 __all__ = [
     "Baseline",
     "BaselineComparison",
     "CheckRun",
-    "FLOW_RULE_CLASSES",
-    "FactCache",
     "FileContext",
     "Finding",
-    "FlowRule",
-    "ProgramIndex",
     "Rule",
     "RULE_CLASSES",
     "check_source",
     "check_sources",
-    "default_flow_rules",
     "default_rules",
     "render_json",
-    "render_sarif",
     "render_text",
     "run_checks",
 ]

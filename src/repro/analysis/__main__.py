@@ -3,14 +3,11 @@
 Subcommands
 -----------
 ``check``
-    Run every rule -- syntactic and, by default, the whole-program flow
-    layer -- over the package tree, match findings against the committed
-    baseline, and exit non-zero when new findings (or stale baseline
-    entries) remain.  ``--json`` switches to the machine report CI
-    uploads; ``--sarif`` emits SARIF 2.1.0 for code-scanning annotation;
-    ``--no-flow`` skips the interprocedural rules;
-    ``--update-baseline`` rewrites the baseline to grandfather the
-    current findings (keeping the notes of entries that survive).
+    Run every rule over the package tree, match findings against the
+    committed baseline, and exit non-zero when new findings (or stale
+    baseline entries) remain.  ``--json`` switches to the machine report
+    CI uploads; ``--update-baseline`` rewrites the baseline to grandfather
+    the current findings (keeping the notes of entries that survive).
 
     Exit codes are a contract CI relies on: **0** clean, **1** findings
     (or stale baseline entries), **2** crash or bad invocation.
@@ -31,8 +28,7 @@ from typing import List, Optional
 
 from .baseline import Baseline
 from .engine import run_checks
-from .flow import FACTS_CACHE_BASENAME, FactCache, default_flow_rules
-from .report import render_json, render_sarif, render_text
+from .report import render_json, render_text
 from .rules import default_rules
 
 __all__ = ["main"]
@@ -63,29 +59,12 @@ def _default_baseline_path(root: Path) -> Optional[Path]:
     return None
 
 
-def _fact_cache_for(args: argparse.Namespace, root: Path, baseline_path: Optional[Path]) -> Optional[FactCache]:
-    """The incremental fact cache the flow layer should use, if any.
-
-    Defaults to ``simlint_facts.json`` next to the baseline (i.e. at the
-    repo root); ``--fact-cache`` overrides the location and
-    ``--no-fact-cache`` disables persistence (facts still extract, they
-    just are not stored).
-    """
-    if args.no_fact_cache:
-        return None
-    if args.fact_cache:
-        return FactCache(Path(args.fact_cache))
-    anchor = baseline_path.parent if baseline_path is not None else root.parent.parent
-    return FactCache(anchor / FACTS_CACHE_BASENAME)
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     root = Path(args.root) if args.root else _default_root()
     if not root.is_dir():
         print(f"simlint: no such package directory: {root}", file=sys.stderr)
         return 2
     rules = default_rules()
-    flow_rules = [] if args.no_flow else default_flow_rules()
 
     if args.baseline:
         baseline_path: Optional[Path] = Path(args.baseline)
@@ -97,10 +76,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         else Baseline()
     )
 
-    fact_cache = _fact_cache_for(args, root, baseline_path) if flow_rules else None
-    run = run_checks(root, rules, flow_rules=flow_rules, fact_cache=fact_cache)
+    run = run_checks(root, rules)
     findings = run.findings
-    all_rules = [*rules, *flow_rules]
 
     if args.update_baseline:
         target = baseline_path or (root.parent.parent / _DEFAULT_BASELINE_NAME)
@@ -113,19 +90,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0
 
     comparison = baseline.compare(findings)
-    if args.sarif:
-        print(render_sarif(comparison, all_rules))
-    elif args.json:
-        print(render_json(comparison, all_rules, run.checked_files))
+    if args.json:
+        print(render_json(comparison, rules, run.checked_files))
     else:
-        print(render_text(comparison, all_rules, run.checked_files))
+        print(render_text(comparison, rules, run.checked_files))
     if comparison.clean and not comparison.stale:
         return 0
     return 0 if args.exit_zero else 1
 
 
 def _cmd_rules(_args: argparse.Namespace) -> int:
-    for rule in [*default_rules(), *default_flow_rules()]:
+    for rule in default_rules():
         scopes = ", ".join(rule.scopes)
         print(f"{rule.name}  [{scopes}]")
         print(f"    {rule.description}")
@@ -140,12 +115,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run all rules and gate on new findings")
-    output = check.add_mutually_exclusive_group()
-    output.add_argument("--json", action="store_true", help="emit the JSON report")
-    output.add_argument(
-        "--sarif", action="store_true",
-        help="emit a SARIF 2.1.0 report (for code-scanning upload)",
-    )
+    check.add_argument("--json", action="store_true", help="emit the JSON report")
     check.add_argument(
         "--baseline", metavar="PATH",
         help=f"baseline file (default: {_DEFAULT_BASELINE_NAME} at the repo "
@@ -160,21 +130,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="package directory to scan (default: the imported repro package)",
     )
     check.add_argument(
-        "--no-flow", action="store_true",
-        help="skip the whole-program (interprocedural) rules",
-    )
-    check.add_argument(
         "--exit-zero", action="store_true",
         help="exit 0 even with findings (crashes still exit 2)",
-    )
-    check.add_argument(
-        "--fact-cache", metavar="PATH",
-        help=f"flow fact-cache file (default: {FACTS_CACHE_BASENAME} next "
-             f"to the baseline)",
-    )
-    check.add_argument(
-        "--no-fact-cache", action="store_true",
-        help="do not read or write the flow fact cache",
     )
     check.set_defaults(func=_cmd_check)
 

@@ -16,14 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .context import FileContext
 from .findings import Finding
-
-if TYPE_CHECKING:  # circular at runtime: flow.rules subclasses Rule
-    from .flow.cache import FactCache
-    from .flow.rules import FlowRule
 
 __all__ = [
     "Rule",
@@ -122,66 +118,17 @@ class CheckRun:
     """The outcome of one engine run: findings plus run metadata.
 
     ``checked_files`` is the number of files actually walked (satisfying
-    the CLI's summary line without a second tree walk);
-    ``fact_cache_hits``/``misses`` describe the incremental flow-fact
-    cache when the interprocedural layer ran with one.
+    the CLI's summary line without a second tree walk).
     """
 
     findings: List[Finding] = field(default_factory=list)
     checked_files: int = 0
-    fact_cache_hits: int = 0
-    fact_cache_misses: int = 0
-
-
-def _run_flow_rules(
-    contexts: Dict[str, FileContext],
-    flow_rules: Sequence["FlowRule"],
-    findings: List[Finding],
-    fact_cache: Optional["FactCache"] = None,
-) -> Tuple[int, int]:
-    """Extract facts (through the cache), index, run interprocedural rules.
-
-    Returns (cache hits, cache misses).  Findings land in ``findings``
-    after the same scope + suppression filtering the per-file rules get.
-    """
-    from .flow.facts import FileFacts, extract_facts
-
-    facts_list: List[FileFacts] = []
-    for rel in sorted(contexts):
-        ctx = contexts[rel]
-        facts: Optional[FileFacts] = None
-        if fact_cache is not None:
-            facts = fact_cache.get(rel, ctx.source)
-        if facts is None:
-            facts = extract_facts(ctx)
-            if fact_cache is not None:
-                fact_cache.put(rel, ctx.source, facts)
-        facts_list.append(facts)
-
-    from .flow.index import ProgramIndex
-
-    index = ProgramIndex(facts_list)
-    for rule in flow_rules:
-        for finding in rule.check_program(index):
-            ctx_found = contexts.get(finding.path)
-            if ctx_found is not None:
-                if not rule.applies_to(ctx_found.module):
-                    continue
-                if ctx_found.suppressed(finding.rule, finding.line):
-                    continue
-            findings.append(finding)
-    if fact_cache is not None:
-        fact_cache.save()
-        return fact_cache.hits, fact_cache.misses
-    return 0, len(contexts)
 
 
 def run_checks(
     root: Path,
     rules: Sequence[Rule],
     package: Optional[str] = None,
-    flow_rules: Optional[Sequence["FlowRule"]] = None,
-    fact_cache: Optional["FactCache"] = None,
 ) -> CheckRun:
     """Run ``rules`` over every Python file under ``root``.
 
@@ -190,11 +137,6 @@ def run_checks(
     fingerprints are stable across checkouts.  Files that fail to parse
     surface as ``simlint`` syntax findings rather than a crash -- a lint
     gate must degrade to a report, not a traceback.
-
-    ``flow_rules`` adds the whole-program pass: per-file facts (fetched
-    from ``fact_cache`` when warm) are indexed into a call graph and each
-    rule's :meth:`~repro.analysis.flow.rules.FlowRule.check_program` runs
-    once over it.
     """
     root = Path(root).resolve()
     pkg = package if package is not None else root.name
@@ -228,16 +170,8 @@ def run_checks(
             if ctx is not None and ctx.suppressed(finding.rule, finding.line):
                 continue
             findings.append(finding)
-    hits = misses = 0
-    if flow_rules:
-        hits, misses = _run_flow_rules(contexts, flow_rules, findings, fact_cache)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return CheckRun(
-        findings=findings,
-        checked_files=checked_files,
-        fact_cache_hits=hits,
-        fact_cache_misses=misses,
-    )
+    return CheckRun(findings=findings, checked_files=checked_files)
 
 
 def check_source(
@@ -277,18 +211,18 @@ def module_name_for_rel(rel: str) -> str:
 def check_sources(
     sources: Mapping[str, str],
     rules: Optional[Sequence[Rule]] = None,
-    flow_rules: Optional[Sequence["FlowRule"]] = None,
-    fact_cache: Optional["FactCache"] = None,
 ) -> List[Finding]:
-    """Run rules over an in-memory multi-file tree (the flow fixture path).
+    """Run rules over an in-memory multi-file tree.
 
     ``sources`` maps engine-relative paths (``repro/scenarios/spec.py``,
-    ``repro/sim/__init__.py``) to source text.  Mirrors :func:`run_checks`
-    including the whole-program flow pass, so interprocedural fixtures can
-    span helper modules without touching the filesystem.
+    ``repro/sim/__init__.py``) to source text.  Mirrors :func:`run_checks`,
+    so fixtures with cross-file state (the slots-in-the-MRO check) can span
+    several modules without touching the filesystem.
     """
     if rules is None:
-        rules = []
+        from .rules import default_rules
+
+        rules = default_rules()
     findings: List[Finding] = []
     contexts: Dict[str, FileContext] = {}
     for rel in sorted(sources):
@@ -301,7 +235,5 @@ def check_sources(
             if ctx is not None and ctx.suppressed(finding.rule, finding.line):
                 continue
             findings.append(finding)
-    if flow_rules:
-        _run_flow_rules(contexts, flow_rules, findings, fact_cache)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings

@@ -8,7 +8,7 @@ from typing import Any, Dict, List, Sequence
 from .baseline import BaselineComparison
 from .engine import Rule
 
-__all__ = ["render_text", "render_json", "render_sarif"]
+__all__ = ["render_text", "render_json"]
 
 
 def render_text(
@@ -49,73 +49,3 @@ def render_json(
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
-
-#: SARIF 2.1.0 schema location (what code-scanning uploads validate against).
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def render_sarif(
-    comparison: BaselineComparison,
-    rules: Sequence[Rule],
-    uri_prefix: str = "src/",
-) -> str:
-    """SARIF 2.1.0 reporter: one rule descriptor per simlint rule.
-
-    New findings report at level ``error``; baselined (grandfathered)
-    findings ride along at ``note`` so code scanning shows them without
-    failing the gate.  Ordering is stable: rules in registration order,
-    results in the engine's (path, line, col, rule) order.
-    """
-    rule_index = {rule.name: index for index, rule in enumerate(rules)}
-
-    def result(finding: Any, level: str) -> Dict[str, Any]:
-        entry: Dict[str, Any] = {
-            "ruleId": finding.rule,
-            "level": level,
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": f"{uri_prefix}{finding.path}"},
-                        "region": {
-                            "startLine": max(1, finding.line),
-                            "startColumn": finding.col + 1,
-                        },
-                    }
-                }
-            ],
-            "partialFingerprints": {"simlint/v1": finding.fingerprint},
-        }
-        if finding.rule in rule_index:
-            entry["ruleIndex"] = rule_index[finding.rule]
-        return entry
-
-    payload: Dict[str, Any] = {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "simlint",
-                        "rules": [
-                            {
-                                "id": rule.name,
-                                "shortDescription": {"text": rule.description},
-                                "defaultConfiguration": {"level": "error"},
-                            }
-                            for rule in rules
-                        ],
-                    }
-                },
-                "results": (
-                    [result(finding, "error") for finding in comparison.new]
-                    + [result(finding, "note") for finding in comparison.baselined]
-                ),
-            }
-        ],
-    }
-    return json.dumps(payload, indent=2)

@@ -116,7 +116,14 @@ class WirelessNetwork:
         carrier-sense measurement noise applied by every radio (0 disables
         it, which also makes pruned and unpruned runs bit-comparable)."""
         self.sim = Simulator()
-        self.channel = channel if channel is not None else ChannelModel()
+        if channel is None:
+            # The default channel draws shadowing from its own stream of
+            # ``seed`` (the one Scenario.channel uses), leaving ``_rng`` and
+            # every radio/MAC child stream where they were.
+            channel = ChannelModel(
+                rng=np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 1)))
+            )
+        self.channel = channel
         self.medium = Medium(
             self.sim, self.channel, detectability_margin_db=detectability_margin_db
         )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, default_flow_rules, default_rules, run_checks
+from repro.analysis import Baseline, default_rules, run_checks
 from repro.analysis.__main__ import main as simlint_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -26,9 +26,7 @@ BASELINE_PATH = REPO_ROOT / "simlint_baseline.json"
 
 @pytest.fixture(scope="module")
 def comparison():
-    run = run_checks(
-        PACKAGE_ROOT, default_rules(), flow_rules=default_flow_rules()
-    )
+    run = run_checks(PACKAGE_ROOT, default_rules())
     baseline = Baseline.load(BASELINE_PATH) if BASELINE_PATH.is_file() else Baseline()
     return baseline.compare(run.findings)
 
@@ -109,6 +107,66 @@ def test_cli_flags_new_violation(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "no-unseeded-rng" in out
+
+
+def _write_wall_clock_violation(tmp_path: Path) -> Path:
+    pkg = tmp_path / "repro"
+    (pkg / "simulation").mkdir(parents=True)
+    (pkg / "simulation" / "__init__.py").write_text("")
+    (pkg / "simulation" / "sim.py").write_text(
+        "import time\n"
+        "class Simulator:\n"
+        "    def run(self):\n"
+        "        return time.time()\n"
+    )
+    return pkg
+
+
+def test_cli_exit_one_on_syntactic_finding(tmp_path, capsys):
+    pkg = _write_wall_clock_violation(tmp_path)
+    code = simlint_main(
+        ["check", "--root", str(pkg), "--baseline", str(tmp_path / "absent.json")]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "no-wall-clock" in out
+
+
+def test_cli_exit_zero_with_exit_zero_flag(tmp_path, capsys):
+    pkg = _write_wall_clock_violation(tmp_path)
+    code = simlint_main(
+        [
+            "check",
+            "--exit-zero",
+            "--json",
+            "--root",
+            str(pkg),
+            "--baseline",
+            str(tmp_path / "absent.json"),
+        ]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["clean"] is False  # the report still tells the truth
+
+
+def test_cli_exit_two_on_crash_not_findings(tmp_path):
+    """A missing root is an invocation error (2), never a clean run."""
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "repro.analysis",
+            "check",
+            "--root",
+            str(tmp_path / "nowhere"),
+        ],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 2
 
 
 def test_module_entrypoint_runs():

@@ -275,6 +275,34 @@ class TestNetworkHarness:
         assert abs(first - second) < 0.3 * first
 
 
+class TestDefaultChannel:
+    """Without an explicit channel the network builds one seeded from its own
+    ``seed``: same seed, same shadowing, same run."""
+
+    @staticmethod
+    def build(seed):
+        net = WirelessNetwork(seed=seed)
+        net.add_node("S1", (0.0, 0.0), traffic=SaturatedTraffic("R1"), rate_mbps=12.0)
+        net.add_node("R1", (25.0, 0.0))
+        net.add_node("S2", (40.0, 10.0), traffic=SaturatedTraffic("R2"), rate_mbps=12.0)
+        net.add_node("R2", (60.0, 10.0))
+        return net
+
+    def test_same_seed_gives_identical_rx_matrix_and_results(self):
+        first, second = self.build(5), self.build(5)
+        a, b = first.run(0.2), second.run(0.2)
+        assert np.array_equal(first.medium._rx_dbm_matrix, second.medium._rx_dbm_matrix)
+        assert a.events_processed == b.events_processed
+        for src, dst in (("S1", "R1"), ("S2", "R2")):
+            assert a.packets_delivered(src, dst) == b.packets_delivered(src, dst)
+
+    def test_default_channel_leaves_child_streams_in_place(self):
+        reference = np.random.default_rng(5)
+        expected = [int(reference.integers(0, 2**63 - 1)) for _ in range(4)]
+        net = WirelessNetwork(seed=5)
+        assert [net._next_child_seed() for _ in range(4)] == expected
+
+
 class TestOpenLoopTrafficWakeup:
     """Poisson sources must wake a dormant CSMA MAC (``notify_traffic``)."""
 
