@@ -822,6 +822,22 @@ def test_rules_have_unique_names_and_descriptions():
         assert rule.name and rule.description and rule.scopes
 
 
+def test_retired_flow_rule_names_are_unregistered():
+    """The whole-program rules are gone: no registered rule carries their
+    names, and a suppression that still names one is reported as unknown."""
+    retired = {"seed-provenance", "determinism-reachability", "cache-key-soundness"}
+    assert not retired & {rule.name for rule in default_rules()}
+    findings = _lint(
+        """
+        x = 1  # simlint: disable=determinism-reachability
+        """
+    )
+    assert any(
+        f.rule == "simlint" and "determinism-reachability" in f.message
+        for f in findings
+    )
+
+
 def test_findings_are_sorted_and_deterministic():
     source = """
     import numpy as np

@@ -25,15 +25,30 @@ BASELINE_PATH = REPO_ROOT / "simlint_baseline.json"
 
 
 @pytest.fixture(scope="module")
-def comparison():
-    run = run_checks(PACKAGE_ROOT, default_rules())
+def shipped_run():
+    return run_checks(PACKAGE_ROOT, default_rules())
+
+
+@pytest.fixture(scope="module")
+def comparison(shipped_run):
     baseline = Baseline.load(BASELINE_PATH) if BASELINE_PATH.is_file() else Baseline()
-    return baseline.compare(run.findings)
+    return baseline.compare(shipped_run.findings)
 
 
 def test_tree_has_no_new_findings(comparison):
     rendered = "\n".join(f.render() for f in comparison.new)
     assert comparison.clean, f"simlint found new violations:\n{rendered}"
+
+
+def test_shipped_tree_has_no_determinism_findings(shipped_run):
+    """The rules that took over from the retired whole-program layer report
+    nothing on ``src/repro``, not even a baselined finding."""
+    hits = [
+        f for f in shipped_run.findings
+        if f.rule in {"no-wall-clock", "no-unseeded-rng"}
+    ]
+    rendered = "\n".join(f.render() for f in hits)
+    assert not hits, f"determinism rules fire on the shipped tree:\n{rendered}"
 
 
 def test_baseline_has_no_stale_entries(comparison):

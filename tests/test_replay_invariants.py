@@ -9,11 +9,17 @@
   on what ran before them in the same process (a warm worker, a sweep).
   Replaying every topology around an unrelated run must give equal
   ``ResultSet``s.
+
+Each check also runs against a fault planted with ``monkeypatch`` (a field
+dropped from ``as_config()``, a memo shared across runs), so a check that
+stops seeing its fault fails here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
+
+import pytest
 
 from repro.scenarios import TOPOLOGIES, Scenario
 from repro.scenarios.execute import scenario_task
@@ -60,9 +66,9 @@ VARIANTS = {
 }
 
 
-def test_every_scenario_field_reaches_the_cache_key():
-    names = [f.name for f in fields(Scenario)]
-    assert sorted(VARIANTS) == sorted(names), "give every Scenario field a VARIANTS entry"
+def _cache_key_faults(names):
+    """(fields that leave the cache key unchanged, fields lost in the
+    ``as_config()`` round trip) among ``names``."""
     unkeyed, lost = [], []
     for name in names:
         overrides, value = VARIANTS[name]
@@ -74,11 +80,51 @@ def test_every_scenario_field_reaches_the_cache_key():
             unkeyed.append(name)
         if Scenario.from_config(variant.as_config()) != variant:
             lost.append(name)
+    return unkeyed, lost
+
+
+def _drop_from_as_config(monkeypatch, name):
+    shipped = Scenario.as_config
+
+    def as_config(self):
+        config = shipped(self)
+        config.pop(name, None)
+        return config
+
+    monkeypatch.setattr(Scenario, "as_config", as_config)
+
+
+def test_every_scenario_field_reaches_the_cache_key():
+    names = [f.name for f in fields(Scenario)]
+    assert sorted(VARIANTS) == sorted(names), "give every Scenario field a VARIANTS entry"
+    unkeyed, lost = _cache_key_faults(names)
     assert unkeyed == [], f"fields that do not change the cache key: {unkeyed}"
     assert lost == [], f"fields lost in the as_config() round trip: {lost}"
 
 
-def test_runs_leave_no_state_for_later_runs():
+#: A field to drop from ``as_config()``, by where a run reads it:
+#: ``topology_params`` only in the topology builder, ``controller_params``
+#: only in ``Scenario._run_controlled``, which ``run()`` reaches via ``self``.
+_DROPPED = {"topology_builder": "topology_params", "self_method_call": "controller_params"}
+
+
+@pytest.mark.parametrize("reader", sorted(_DROPPED))
+def test_cache_key_check_catches_field_dropped_from_as_config(monkeypatch, reader):
+    name = _DROPPED[reader]
+    _drop_from_as_config(monkeypatch, name)
+    assert _cache_key_faults([name]) == ([name], [name])
+
+
+def test_cache_key_check_passes_fields_still_in_as_config(monkeypatch):
+    """Dropping one field does not make the check flag the fields the same
+    topology builder reads that ``as_config()`` still covers."""
+    _drop_from_as_config(monkeypatch, "topology_params")
+    assert _cache_key_faults(["topology", "n_nodes", "extent_m", "seed"]) == ([], [])
+
+
+def _replay_mismatches():
+    """Topologies whose replay, after an unrelated run, differs from their
+    first run in the same process."""
     topologies = sorted(TOPOLOGIES)
     specs = {
         name: Scenario(topology=name, n_nodes=8, duration_s=0.05, sigma_db=6.0)
@@ -91,5 +137,37 @@ def test_runs_leave_no_state_for_later_runs():
     ).run()
     again = {name: specs[name].run() for name in reversed(topologies)}
     assert len(first) == 7
-    for name in topologies:
-        assert again[name] == first[name], name
+    return [name for name in topologies if again[name] != first[name]]
+
+
+def _memoise_positions(monkeypatch, memo_for_call):
+    """Route every placement through a node-id -> position memo that is
+    refreshed whenever a placement brings a node id it has not seen."""
+    shipped = Scenario.placement
+
+    def placement(self):
+        fresh = shipped(self)
+        memo = memo_for_call()
+        if not set(fresh.positions) <= set(memo):
+            memo.update(fresh.positions)
+        return replace(fresh, positions={node: memo[node] for node in fresh.positions})
+
+    monkeypatch.setattr(Scenario, "placement", placement)
+
+
+def test_runs_leave_no_state_for_later_runs():
+    assert _replay_mismatches() == []
+
+
+def test_isolation_check_catches_module_level_cache(monkeypatch):
+    """A memo shared by every run (keyed by node id, forgetting the
+    topology) hands later runs the positions an earlier one left behind."""
+    shared = {}
+    _memoise_positions(monkeypatch, lambda: shared)
+    assert _replay_mismatches() != []
+
+
+def test_isolation_check_accepts_per_run_local_cache(monkeypatch):
+    """The same memo built afresh for each placement carries nothing over."""
+    _memoise_positions(monkeypatch, dict)
+    assert _replay_mismatches() == []
