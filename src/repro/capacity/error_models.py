@@ -101,6 +101,12 @@ def coded_ber(snr_db: ArrayLike, rate: RateInfo) -> ArrayLike:
     return raw_ber(np.asarray(snr_db, dtype=float) + gain, rate)
 
 
+#: The base of the scalar path's ``np.power``.  ``np.power`` on two Python
+#: floats costs about twice as much as with this 0-d float64 array base, which
+#: reaches the same float64 kernel and returns the same float.
+_TEN = np.array(10.0)
+
+
 def _packet_error_rate_scalar(snr_db: float, rate: RateInfo, payload_bytes: int) -> float:
     """Scalar fast path: no array coercion, ``np.clip``, or ``errstate``.
 
@@ -119,7 +125,7 @@ def _packet_error_rate_scalar(snr_db: float, rate: RateInfo, payload_bytes: int)
     if snr_db != snr_db:  # NaN propagates exactly as through the array path
         return float("nan")
     gain = _CODING_GAIN_DB.get(rate.code_rate, 3.0)
-    snr_linear = float(np.power(10.0, (snr_db + gain) / 10.0)) / bits_per_symbol
+    snr_linear = float(np.power(_TEN, (snr_db + gain) / 10.0)) / bits_per_symbol
     if snr_linear < 0.0:
         snr_linear = 0.0
     if bits_per_symbol <= 2:

@@ -20,6 +20,7 @@ keys -- results are re-ordered by task index before they are returned.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import os
 import time
@@ -62,12 +63,17 @@ def resolve_callable(dotted_path: str) -> Callable[..., Any]:
 
 @dataclass(frozen=True)
 class BatchTask:
-    """One unit of work: ``fn(**config)`` with a JSON-able config."""
+    """One unit of work: ``fn(**config)`` with a JSON-able config.
+
+    ``cache_key`` is computed on first read and kept: a run reads it up to
+    five times per task, and each read cost a canonical-JSON dump plus a
+    sha256 of the config.  Do not mutate ``config`` after that read.
+    """
 
     fn: str
     config: Dict[str, Any] = field(default_factory=dict)
 
-    @property
+    @functools.cached_property
     def cache_key(self) -> str:
         return config_hash({"fn": self.fn, "config": self.config})
 
@@ -349,7 +355,7 @@ class BatchRunner:
             elif kind == "done":
                 results[index] = result
                 report.executed += 1
-                self._store(task, result, index, attempt)
+                self._store(task, key, result, index, attempt)
                 settled += 1
                 if journal is not None:
                     journal.record(key, index, "complete", attempt)
@@ -463,11 +469,12 @@ class BatchRunner:
         ]
 
     def _store(
-        self, task: BatchTask, result: Any, index: Optional[int] = None, attempt: int = 1
+        self, task: BatchTask, key: str, result: Any, index: Optional[int] = None,
+        attempt: int = 1,
     ) -> None:
         if self.cache is None:
             return
-        path = self.cache.put(task.cache_key, {"fn": task.fn, "config": task.config}, result)
+        path = self.cache.put(key, {"fn": task.fn, "config": task.config}, result)
         if index is not None:
             spec = self.faults.for_attempt(index, attempt)
             if spec is not None and spec.kind == "corrupt_cache":

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..capacity.rates import RateInfo, frame_airtime_s
 
@@ -16,6 +16,12 @@ __all__ = ["FrameKind", "Frame", "FlowTag", "BROADCAST"]
 BROADCAST = "*"
 
 _frame_ids = itertools.count()
+
+#: ``frame_airtime_s`` results by (payload bytes, rate bits per symbol, rate
+#: Mbps, MAC header included): exactly the inputs the function reads, so an
+#: entry is the value a fresh call returns and no result depends on what the
+#: memo holds.  A sender reuses a handful of keys for every frame.
+_airtime_memo: Dict[Tuple[int, int, float, bool], float] = {}
 
 
 class FrameKind(Enum):
@@ -46,9 +52,16 @@ class FlowTag(NamedTuple):
     hops: int = 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Frame:
     """An on-air frame.
+
+    One frame object is shared by its sender and every receiver's outcome,
+    so code must never mutate it: :meth:`as_retry` builds the copy a retry
+    needs.  The class does not enforce this: a frozen dataclass sets each
+    field through ``object.__setattr__``, which doubled the cost of the
+    frame every transmission builds.  Equality, hashing and ``repr`` are the
+    generated ones, as before.
 
     Attributes
     ----------
@@ -64,7 +77,8 @@ class Frame:
         Per-sender sequence number (used by receivers to count deliveries and
         detect retransmissions).
     frame_id:
-        Globally unique identifier.
+        Globally unique identifier, drawn from a process-wide counter unless
+        given.
     retry:
         Retry count of this transmission attempt.
     enqueued_at:
@@ -84,9 +98,10 @@ class Frame:
         Which MAC transmission of the end-to-end path this frame is (1 for
         the origin's transmission; relays increment it).
     airtime_s:
-        On-air duration at the frame's PHY rate, computed once at
-        construction (the radio, medium, and MAC all read it repeatedly on
-        the per-frame hot path).
+        On-air duration at the frame's PHY rate, set at construction (the
+        radio, medium, and MAC all read it repeatedly on the per-frame hot
+        path) from :func:`~repro.capacity.rates.frame_airtime_s`, memoised
+        per payload size, rate and header flag.
     """
 
     kind: FrameKind
@@ -94,22 +109,50 @@ class Frame:
     dst: object
     payload_bytes: int
     rate: RateInfo
-    sequence: int = 0
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
-    retry: int = 0
-    enqueued_at: float = field(default=-1.0, repr=False, compare=False)
-    flow_src: object = field(default=None, repr=False, compare=False)
-    flow_dst: object = field(default=None, repr=False, compare=False)
-    hops: int = field(default=1, repr=False, compare=False)
+    sequence: int
+    frame_id: int
+    retry: int
+    enqueued_at: float = field(repr=False, compare=False)
+    flow_src: object = field(repr=False, compare=False)
+    flow_dst: object = field(repr=False, compare=False)
+    hops: int = field(repr=False, compare=False)
     airtime_s: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        include_header = self.kind == FrameKind.DATA
-        object.__setattr__(
-            self,
-            "airtime_s",
-            frame_airtime_s(self.payload_bytes, self.rate, include_mac_header=include_header),
-        )
+    def __init__(
+        self,
+        kind: FrameKind,
+        src: object,
+        dst: object,
+        payload_bytes: int,
+        rate: RateInfo,
+        sequence: int = 0,
+        frame_id: Optional[int] = None,
+        retry: int = 0,
+        enqueued_at: float = -1.0,
+        flow_src: object = None,
+        flow_dst: object = None,
+        hops: int = 1,
+    ) -> None:
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.payload_bytes = payload_bytes
+        self.rate = rate
+        self.sequence = sequence
+        self.frame_id = next(_frame_ids) if frame_id is None else frame_id
+        self.retry = retry
+        self.enqueued_at = enqueued_at
+        self.flow_src = flow_src
+        self.flow_dst = flow_dst
+        self.hops = hops
+        include_header = kind is FrameKind.DATA
+        key = (payload_bytes, rate.bits_per_symbol, rate.mbps, include_header)
+        airtime = _airtime_memo.get(key)
+        if airtime is None:
+            airtime = _airtime_memo[key] = frame_airtime_s(
+                payload_bytes, rate, include_mac_header=include_header
+            )
+        self.airtime_s = airtime
 
     @property
     def is_broadcast(self) -> bool:

@@ -71,7 +71,21 @@ class MacStats:
 
 
 class MacBase:
-    """Common wiring between a MAC, its radio, and its traffic source."""
+    """Common wiring between a MAC, its radio, and its traffic source.
+
+    Attributes
+    ----------
+    rng:
+        The MAC's own random stream; nothing else may draw from it.
+        :class:`~repro.simulation.mac.csma.CsmaMac` takes its backoff draws
+        from ``rng.bit_generator`` directly: each raw 64-bit output serves
+        two 32-bit words, and the MAC holds the unused high half itself (from
+        its first draw on, including a half the generator already held).
+        Its backoff values equal ``rng.integers(0, cw + 1)`` called draw by
+        draw, but the generator's own held-half state is left behind, so a
+        32-bit draw made on ``rng`` by anything else would not continue that
+        stream.
+    """
 
     __slots__ = (
         "node_id",

@@ -28,8 +28,16 @@ A radio gets a *slot* when it registers.  Per slot, plain Python lists hold
 the above-floor power sum, the CCA power sum (with per-frame measurement
 noise), the incoming-frame count, the mutations since the last exact resync,
 the busy verdict, and the lock (transmission, power, capture threshold,
-worst-case interference).  The numpy arrays read by the sub-floor ops are
-written only by the receiver pass.
+worst-case interference).
+
+The sub-floor ops read numpy mirrors of some of that state: the CCA sums
+and busy verdicts, and per locked slot the lock mask, locked power,
+above-floor sum and sub-floor interference maximum.  Only the receiver pass
+and the lock/unlock steps write them, and only once some sender has a
+sub-floor row.  Until then no sub-floor power exists and nothing reads
+them, so a run whose senders all hear every radio above the floor (every
+small cell) never touches them.  The first sub-floor row starts them from
+the lists (:meth:`Medium._go_live`).
 
 A frame's start and its end each run one inlined pass over the sender's row
 of ``(radio, slot, mW, dBm, decodable)`` entries (``decodable`` is the static
@@ -100,6 +108,11 @@ _EXACT_BAND = 1e-9
 
 _np_log10 = np.log10
 
+#: The sub-floor power at every receiver of a row while no sender has a
+#: sub-floor row.  ``repeat`` without a count has no state to exhaust, so
+#: every pass zips over this one object.
+_NO_SUBFLOOR = itertools.repeat(0.0)
+
 
 def _lin_to_db_scalar(value_mw: float) -> float:
     """``float(linear_to_db(x))`` for strictly positive scalars, minus the
@@ -125,7 +138,7 @@ class Transmission:
     src: Hashable
     start_time: float
     end_time: float
-    tx_id: int = field(default_factory=lambda: next(_transmission_ids))
+    tx_id: int = field(default_factory=_transmission_ids.__next__)
 
     @property
     def duration(self) -> float:
@@ -223,7 +236,9 @@ class Medium:
         self._cca_noise_db: Optional[List[float]] = None  # None: no radio is noisy
         # tx_id -> CCA power per row entry, for the frame's end and resyncs.
         self._frame_cca_mw: Dict[int, List[float]] = {}
-        # The arrays for the O(N) sub-floor ops are allocated by finalize().
+        # The arrays for the O(N) sub-floor ops: the active sub-floor power is
+        # allocated by finalize(), the rest by _go_live().
+        self._subfloor_live = False
         self._thresholds_stale = True
         self._in_pass = False
 
@@ -372,14 +387,7 @@ class Medium:
 
         self._subfloor_active_mw = np.zeros(n)
         self._finishes_since_resync = 0
-        self._locked_mask = np.zeros(n, dtype=bool)
-        self._locked_power_mw = np.zeros(n)
-        self._locked_above_mw = np.zeros(n)  # kept current for locked slots only
-        self._locked_subfloor_max_mw = np.zeros(n)
         self._thresholds_stale = True
-        # Set once some sender has a sub-floor row (see _sender_tables): only
-        # then do the busy-edge ops run, so only then does the pass keep
-        # _cca_live_mw and _busy_mirror current.
         self._subfloor_live = False
         self._notify = [None] * n
         self._notify_mw = [None] * n
@@ -421,9 +429,7 @@ class Medium:
                 self._subfloor_rows[slot] = np.where(below, self._rx_mw_matrix[slot], 0.0)
                 self._subfloor_masks[slot] = below
                 if not self._subfloor_live:
-                    self._subfloor_live = True
-                    self._cca_live_mw = np.array(self._cca_sum_mw, dtype=float)
-                    self._busy_mirror = np.array(self._busy, dtype=bool)
+                    self._go_live()
             gather = np.flatnonzero(audible)
             row_mw_array = self._rx_mw_matrix[slot, gather]
             row_mw = row_mw_array.tolist()
@@ -437,6 +443,26 @@ class Medium:
             self._row_built[slot] = True
         return self._notify[slot]
 
+    def _go_live(self) -> None:
+        """Start the arrays the sub-floor ops read; the first sub-floor row
+        calls this, before that row's power is added.
+
+        Until then no sub-floor power is active, the sub-floor ops never run
+        and nothing reads these arrays, so the passes and the lock
+        bookkeeping skip them.  From here on they keep them current.  Each
+        starts from the per-slot state it mirrors: CCA sums, busy verdicts,
+        and, for slots holding a lock, the lock mask, locked power and
+        above-floor sum.  No sub-floor power has reached a lock yet, so every
+        sub-floor interference maximum starts at ``-inf``.
+        """
+        self._subfloor_live = True
+        self._cca_live_mw = np.array(self._cca_sum_mw, dtype=float)
+        self._busy_mirror = np.array(self._busy, dtype=bool)
+        self._locked_mask = np.array([tx is not None for tx in self._lock_tx], dtype=bool)
+        self._locked_power_mw = np.array(self._lock_mw, dtype=float)
+        self._locked_above_mw = np.array(self._rx_sum_mw, dtype=float)
+        self._locked_subfloor_max_mw = np.full(len(self._lock_tx), -math.inf)
+
     def neighborhood(self, src: Hashable) -> List[Hashable]:
         """Node ids notified per-frame when ``src`` transmits (after finalisation)."""
         self.finalize()
@@ -446,11 +472,11 @@ class Medium:
 
     def subfloor_noise_mw(self, slot: int) -> float:
         """Currently-active sub-floor power arriving at the given radio slot."""
-        return float(self._subfloor_active_mw[slot]) if self._finalized else 0.0
+        return float(self._subfloor_active_mw[slot]) if self._subfloor_live else 0.0
 
     def channel_busy(self, slot: int) -> bool:
         """The exact CCA verdict of one slot against its radio's threshold."""
-        sub = self.subfloor_noise_mw(slot)
+        sub = float(self._subfloor_active_mw[slot]) if self._subfloor_live else 0.0
         if not self._incoming[slot] and sub == 0.0:
             return False
         radio = self._slot_radios[slot]
@@ -520,12 +546,6 @@ class Medium:
             self._thresholds_stale = False
         return self._cca_threshold_mw
 
-    def _subfloor_at(self, slot: int):
-        """Sub-floor power at each receiver of a sender's row, as floats."""
-        if not self._subfloor_live:
-            return itertools.repeat(0.0)
-        return self._subfloor_active_mw[self._gather[slot]].tolist()
-
     # -- static link queries ---------------------------------------------------
 
     def rx_power_dbm(self, src: Hashable, dst: Hashable) -> float:
@@ -567,17 +587,21 @@ class Medium:
         self._lock_mw[slot] = mw
         self._capture_dbm[slot] = dbm + self._capture_margin_db[slot]
         self._lock_max_mw[slot] = interference
-        self._locked_mask[slot] = True
-        self._locked_power_mw[slot] = mw
-        self._locked_above_mw[slot] = self._rx_sum_mw[slot]
-        self._locked_subfloor_max_mw[slot] = -math.inf
+        if self._subfloor_live:
+            self._locked_mask[slot] = True
+            self._locked_power_mw[slot] = mw
+            self._locked_above_mw[slot] = self._rx_sum_mw[slot]
+            self._locked_subfloor_max_mw[slot] = -math.inf
 
     def _lock_max_interference_mw(self, slot: int) -> float:
-        return max(self._lock_max_mw[slot], float(self._locked_subfloor_max_mw[slot]))
+        if self._subfloor_live:
+            return max(self._lock_max_mw[slot], float(self._locked_subfloor_max_mw[slot]))
+        return self._lock_max_mw[slot]
 
     def _unlock(self, slot: int) -> None:
         self._lock_tx[slot] = None
-        self._locked_mask[slot] = False
+        if self._subfloor_live:
+            self._locked_mask[slot] = False
 
     def _capture(self, radio: "Radio", slot: int, tx: Transmission, mw: float, dbm: float,
                  rx_sum: float, sub: float) -> None:
@@ -635,14 +659,16 @@ class Medium:
             )
         if src not in self._radios:
             raise KeyError(f"unknown source node {src!r}")
-        self.finalize()
+        if not self._finalized:
+            self.finalize()
         duration = frame.airtime_s
-        tx = Transmission(
-            frame=frame, src=src, start_time=self.sim.now, end_time=self.sim.now + duration
-        )
+        now = self.sim._now
+        tx = Transmission(frame, src, now, now + duration)
         self.active_transmissions[tx.tx_id] = tx
         src_slot = self._index[src]
-        row = self._sender_tables(src_slot)
+        row = self._notify[src_slot]
+        if row is None:
+            row = self._sender_tables(src_slot)
         below = self._subfloor_masks[src_slot]
         if below is not None:
             self._subfloor_active_mw += self._subfloor_rows[src_slot]
@@ -656,19 +682,23 @@ class Medium:
             self._rx_sum_mw, self._cca_sum_mw, self._incoming, self._mutations
         )
         lock_tx, lock_mw, lock_max = self._lock_tx, self._lock_mw, self._lock_max_mw
-        locked_above = self._locked_above_mw
         capture_dbm, busy_now = self._capture_dbm, self._busy
         preamble_lo, preamble_hi = self._preamble_lo, self._preamble_hi
-        mirror = self._cca_live_mw if self._subfloor_live else None
+        if self._subfloor_live:
+            subs = self._subfloor_active_mw[self._gather[src_slot]].tolist()
+            mirror, locked_above = self._cca_live_mw, self._locked_above_mw
+        else:
+            subs, mirror, locked_above = _NO_SUBFLOOR, None, None
         self._in_pass = True
         try:
-            for (radio, j, mw, dbm, decodable), sub in zip(row, self._subfloor_at(src_slot)):
+            for (radio, j, mw, dbm, decodable), sub in zip(row, subs):
                 rxs = rx_sum[j] + mw
                 rx_sum[j] = rxs
                 cca = mw
                 if noise_db is not None:
                     if noise_db[j] > 0:
-                        cca *= float(10.0 ** (radio.rng.normal(0.0, noise_db[j]) / 10.0))
+                        # == rng.normal(0.0, noise_db[j]), as in ReceptionModel.decide
+                        cca *= 10.0 ** (noise_db[j] * radio.rng.standard_normal() / 10.0)
                     cca_powers.append(cca)
                 ccs = cca_sum[j] + cca
                 cca_sum[j] = ccs
@@ -697,7 +727,8 @@ class Medium:
                 elif decodable and dbm >= capture_dbm[j]:
                     self._capture(radio, j, tx, mw, dbm, rxs, sub)
                 else:
-                    locked_above[j] = rxs
+                    if locked_above is not None:
+                        locked_above[j] = rxs
                     interference = rxs - lock_mw[j] + sub
                     if interference > lock_max[j]:
                         lock_max[j] = interference
@@ -734,12 +765,16 @@ class Medium:
         rx_sum, cca_sum, incoming, mutations = (
             self._rx_sum_mw, self._cca_sum_mw, self._incoming, self._mutations
         )
-        lock_tx, busy_now, locked_above = self._lock_tx, self._busy, self._locked_above_mw
-        mirror = self._cca_live_mw if self._subfloor_live else None
+        lock_tx, busy_now = self._lock_tx, self._busy
+        if self._subfloor_live:
+            subs = self._subfloor_active_mw[self._gather[src_slot]].tolist()
+            mirror, locked_above = self._cca_live_mw, self._locked_above_mw
+        else:
+            subs, mirror, locked_above = _NO_SUBFLOOR, None, None
         self._in_pass = True
         try:
             for (radio, j, mw, _dbm, _decodable), sub, cca in zip(
-                self._notify[src_slot], self._subfloor_at(src_slot), cca_powers
+                self._notify[src_slot], subs, cca_powers
             ):
                 remaining = incoming[j] - 1
                 incoming[j] = remaining
@@ -765,7 +800,7 @@ class Medium:
                 locked = lock_tx[j]
                 if locked is tx:
                     self._decode(radio, j, tx)
-                elif locked is not None:
+                elif locked is not None and locked_above is not None:
                     locked_above[j] = rxs
 
                 if remaining or sub != 0.0:

@@ -21,18 +21,19 @@ conditions):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ..capacity.error_models import packet_success_rate
-from ..capacity.rates import RateInfo
+from ..capacity.error_models import _packet_error_rate_scalar
 from .frames import Frame, FrameKind
 
 __all__ = ["ReceptionModel", "ReceptionOutcome"]
 
+_DATA = FrameKind.DATA
 
-@dataclass(frozen=True, slots=True)
-class ReceptionOutcome:
+
+class ReceptionOutcome(NamedTuple):
     """The result of attempting to decode one frame."""
 
     frame: Frame
@@ -97,22 +98,31 @@ class ReceptionModel:
         return new_power_dbm >= locked_power_dbm + self.capture_margin_db
 
     def success_probability(self, frame: Frame, sinr_db: float) -> float:
-        """Probability that the frame decodes at the given SINR."""
-        effective_sinr = sinr_db
-        if frame.kind != FrameKind.DATA:
-            effective_sinr += self.control_rate_bonus_db
-        payload = max(frame.payload_bytes, 14)
-        return float(packet_success_rate(effective_sinr, frame.rate, payload))
+        """Probability that the frame decodes at the given SINR.
+
+        Calls the scalar error-rate kernel directly: ``1.0 -
+        _packet_error_rate_scalar(...)`` is the float ``packet_success_rate``
+        returns for a scalar, without its two dispatch frames.
+        """
+        if frame.kind is not _DATA:
+            sinr_db += self.control_rate_bonus_db
+        payload = frame.payload_bytes if frame.payload_bytes > 14 else 14
+        return 1.0 - _packet_error_rate_scalar(sinr_db, frame.rate, payload)
 
     def decide(self, frame: Frame, sinr_db: float, rng: np.random.Generator) -> ReceptionOutcome:
-        """Decide whether the frame is received."""
+        """Decide whether the frame is received.
+
+        Runs once per decoded frame.  The jitter is ``snr_jitter_db *
+        rng.standard_normal()``: numpy's ``rng.normal(0.0, snr_jitter_db)``
+        computes ``0.0 + snr_jitter_db * z`` from the same draw, so the float
+        is the same, and the call is cheaper.  Draw order per frame: the
+        jitter normal, then the Bernoulli uniform.
+        """
         if self.deterministic:
             p = self.success_probability(frame, sinr_db)
-            success = p > 0.5
-        else:
-            effective_sinr = sinr_db
-            if self.snr_jitter_db > 0:
-                effective_sinr += float(rng.normal(0.0, self.snr_jitter_db))
-            p = self.success_probability(frame, effective_sinr)
-            success = bool(rng.random() < p)
-        return ReceptionOutcome(frame=frame, success=success, sinr_db=sinr_db, success_probability=p)
+            return ReceptionOutcome(frame, p > 0.5, sinr_db, p)
+        effective_sinr = sinr_db
+        if self.snr_jitter_db > 0:
+            effective_sinr += self.snr_jitter_db * rng.standard_normal()
+        p = self.success_probability(frame, effective_sinr)
+        return ReceptionOutcome(frame, rng.random() < p, sinr_db, p)

@@ -200,10 +200,10 @@ class Radio:
     def _channel_edge(self, busy: bool) -> None:
         """Called by the medium when this radio's CCA verdict flips."""
         if busy:
-            self._busy_since = self.sim.now
+            self._busy_since = self.sim._now
             self.on_channel_busy()
         else:
-            self._busy_accum_s += self.sim.now - self._busy_since
+            self._busy_accum_s += self.sim._now - self._busy_since
             self.on_channel_idle()
 
     def sensed_busy_time_s(self, now: float) -> float:

@@ -365,3 +365,66 @@ class TestLazyNotifyTables:
         reference medium)."""
         scenario = _scenario("scale_free", n_nodes=10)
         assert scenario.run() == scenario.run()
+
+
+class TestSubfloorGoLive:
+    """The locked-radio arrays start when the first sub-floor row is built.
+
+    A radio that locked before then must still sample the sub-floor power of
+    every later frame start, exactly as on the unpruned reference medium.
+    """
+
+    @staticmethod
+    def _count_live_with_locks(monkeypatch):
+        held = []
+        go_live = Medium._go_live
+
+        def counting(medium):
+            held.append(sum(tx is not None for tx in medium._lock_tx))
+            go_live(medium)
+
+        monkeypatch.setattr(Medium, "_go_live", counting)
+        return held
+
+    def test_lock_held_before_first_subfloor_row_samples_it(self, monkeypatch):
+        # b (100 m from a and from far) hears everyone above the zero-margin
+        # floor, so its frame builds no sub-floor row and a locks onto it.
+        # far's frame reaches a at -98 dBm, below the -94 dBm floor: its row
+        # is the first sub-floor row, built while a holds the lock.
+        positions = {"a": (0.0, 0.0), "b": (100.0, 0.0), "far": (200.0, 0.0)}
+        held = self._count_live_with_locks(monkeypatch)
+
+        def decode_sinr_db(margin, with_far=True):
+            sim, medium, radios = build_medium(positions, detectability_margin_db=margin)
+            outcomes = []
+            radios["a"].on_frame_received = outcomes.append
+            radios["b"].transmit(data_frame("b"))
+            assert medium._lock_tx[medium._index["a"]] is not None
+            sim.run(until=1e-4)
+            if with_far:
+                radios["far"].transmit(data_frame("far", payload=60))
+            sim.run()
+            return medium, outcomes[0]
+
+        pruned, outcome = decode_sinr_db(0.0)
+        assert held == [2]  # reached: a and far both held a lock at go-live
+        assert "a" not in pruned.neighborhood("far")
+        unpruned = decode_sinr_db(None)[1]
+        assert (outcome.sinr_db, outcome.success) == (unpruned.sinr_db, unpruned.success)
+        assert outcome.sinr_db < decode_sinr_db(0.0, with_far=False)[1].sinr_db - 0.5
+
+    def test_scenario_with_lock_at_go_live_matches_unpruned(self, monkeypatch):
+        held = self._count_live_with_locks(monkeypatch)
+        scenario = Scenario(
+            name="go-live", topology="uniform_disc", n_nodes=10, extent_m=300.0, seed=0,
+            use_acks=True, cca_noise_db=0.0, duration_s=0.05,
+        )
+        pruned = scenario.run()
+        assert held and held[0] > 0  # reached: locks were held at go-live
+        assert pruned == unpruned_variant(scenario).run()
+
+    @pytest.mark.parametrize("name", ["noise-subfloor", "noise-subfloor-shadowed"])
+    def test_noise_subfloor_pins_hold(self, name):
+        from test_fanout_pins import PIN_SCENARIOS, PINS, _pin
+
+        assert _pin(PIN_SCENARIOS[name].run()) == PINS[name]

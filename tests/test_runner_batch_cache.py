@@ -118,6 +118,27 @@ class TestBatchRunner:
         assert second.report.cache_hits == 4
         assert second.results == first.results
 
+    def test_cache_key_hashed_once_per_task(self, tmp_path, monkeypatch):
+        import repro.runner.batch as batch
+
+        calls = []
+
+        def counting_hash(config):
+            calls.append(config)
+            return config_hash(config)
+
+        monkeypatch.setattr(batch, "config_hash", counting_hash)
+        for expected_executed in (4, 0):  # cold, then every task a cache hit
+            calls.clear()
+            tasks = self._tasks()
+            outcome = BatchRunner(workers=0, cache=ResultCache(tmp_path / "cache")).run(tasks)
+            assert outcome.report.executed == expected_executed
+            assert len(calls) == len(tasks)
+            assert [task.cache_key for task in tasks] == [
+                config_hash({"fn": task.fn, "config": task.config}) for task in tasks
+            ]
+            assert len(calls) == len(tasks)
+
     def test_force_reexecutes_despite_cache(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         BatchRunner(workers=0, cache=cache).run(self._tasks())

@@ -5,13 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.capacity.adaptation import SampleRateAdapter
+from repro.capacity.adaptation import FixedRate, SampleRateAdapter
 from repro.capacity.rates import frame_airtime_s, rate_by_mbps
 from repro.propagation.channel import ChannelModel
 from repro.propagation.pathloss import LogDistancePathLoss
 from repro.simulation.engine import Simulator
+from repro.simulation.mac.csma import CsmaMac
 from repro.simulation.mac.tdma import TdmaSchedule
+from repro.simulation.medium import Medium
 from repro.simulation.network import WirelessNetwork
+from repro.simulation.radio import Radio
 from repro.simulation.traffic import PoissonTraffic, SaturatedTraffic
 
 
@@ -458,3 +461,76 @@ class TestDelayTimestamping:
             kind=FrameKind.DATA, src="S", dst="R", payload_bytes=100,
             rate=rate_by_mbps(12.0), sequence=1, frame_id=999,
         )
+
+
+class TestBackoffStream:
+    """The CSMA MAC's backoff draw reproduces ``Generator.integers(0, cw + 1)``
+    taken one draw at a time, bit for bit, while ``cw`` changes mid-stream."""
+
+    SEEDS = range(60)
+    #: cw_min, the doubled retry values up to cw_max, back to cw_min, and
+    #: the 0 and 1 edges (0 consumes no draw; 1 is a coin flip).  The last
+    #: two bounds reject about half their words, so the retry loop of
+    #: Lemire's method runs too (powers of two never reject).
+    CW_CYCLE = (15, 31, 63, 127, 255, 511, 1023, 1023, 15, 0, 1, 15, 1, 0, 0, 2, 1023, 1,
+                2**31, 3 * 2**30)
+
+    def _mac(self, seed):
+        sim = Simulator()
+        radio = Radio("a", sim, Medium(sim, make_channel()))
+        rng = np.random.Generator(np.random.PCG64(seed))
+        return CsmaMac("a", sim, radio, FixedRate(rate_by_mbps(6.0)), rng=rng)
+
+    def _mismatches(self, cycles=8):
+        mismatches = 0
+        for seed in self.SEEDS:
+            mac = self._mac(seed)
+            reference = np.random.Generator(np.random.PCG64(seed))
+            for cw in self.CW_CYCLE * cycles:
+                mac._cw = cw
+                mismatches += mac._draw_backoff() != int(reference.integers(0, cw + 1))
+        return mismatches
+
+    def test_draws_match_integers_one_at_a_time(self):
+        assert self._mismatches() == 0
+
+    def test_adopts_a_half_the_generator_already_holds(self):
+        mac = self._mac(5)
+        reference = np.random.Generator(np.random.PCG64(5))
+        assert int(mac.rng.integers(0, 16)) == int(reference.integers(0, 16))  # holds a half
+        for cw in self.CW_CYCLE:
+            mac._cw = cw
+            assert mac._draw_backoff() == int(reference.integers(0, cw + 1))
+
+    def test_halves_taken_high_first_are_caught(self, monkeypatch):
+        def high_first(self):
+            held = self._held_word
+            if held is not None and held >= 0:
+                self._held_word = -1
+                return held
+            raw = self.rng.bit_generator.random_raw()
+            self._held_word = raw & 0xFFFFFFFF
+            return raw >> 32
+
+        monkeypatch.setattr(CsmaMac, "_next_word", high_first)
+        assert self._mismatches(cycles=1) > 0
+
+    def test_held_half_dropped_on_cw_change_is_caught(self, monkeypatch):
+        real_draw = CsmaMac._draw_backoff
+        last_cw = {}
+
+        def resets_on_change(self):
+            if last_cw.get(id(self), self._cw) != self._cw:
+                self._held_word = -1
+            last_cw[id(self)] = self._cw
+            return real_draw(self)
+
+        monkeypatch.setattr(CsmaMac, "_draw_backoff", resets_on_change)
+        assert self._mismatches(cycles=1) > 0
+
+    def test_unsupported_bit_generator_rejected(self):
+        sim = Simulator()
+        radio = Radio("a", sim, Medium(sim, make_channel()))
+        with pytest.raises(ValueError, match="MT19937"):
+            CsmaMac("a", sim, radio, FixedRate(rate_by_mbps(6.0)),
+                    rng=np.random.Generator(np.random.MT19937(0)))

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.capacity.rates import rate_by_mbps
+from repro.capacity.error_models import packet_success_rate
+from repro.capacity.rates import DSSS_RATES, OFDM_RATES, rate_by_mbps
 from repro.propagation.channel import ChannelModel
 from repro.propagation.pathloss import LogDistancePathLoss
 from repro.simulation.engine import Simulator
@@ -354,3 +355,49 @@ class TestReceptionModel:
         assert model.captures(-50.0, -65.0)
         assert not model.captures(-60.0, -65.0)
         assert not model.captures(-95.0, -120.0)  # below sensitivity
+
+
+def _reference_decide(model, frame, sinr_db, rng):
+    """The verdict composed from the public pieces: ``rng.normal`` jitter,
+    the control-frame bonus, and ``packet_success_rate`` at the clamped
+    payload, then the Bernoulli draw."""
+    effective_sinr = sinr_db
+    if not model.deterministic and model.snr_jitter_db > 0:
+        effective_sinr += float(rng.normal(0.0, model.snr_jitter_db))
+    if frame.kind != FrameKind.DATA:
+        effective_sinr += model.control_rate_bonus_db
+    p = float(packet_success_rate(effective_sinr, frame.rate, max(frame.payload_bytes, 14)))
+    success = p > 0.5 if model.deterministic else bool(rng.random() < p)
+    return success, sinr_db, p
+
+
+class TestDecodeParity:
+    """``ReceptionModel.decide`` equals the reference composition bit for bit
+    and leaves its generator where the reference leaves a twin."""
+
+    THRESHOLD_DB = ReceptionModel().preamble_snr_threshold_db
+    SINRS_DB = [float(x) for x in np.arange(-10.0, 40.0, 0.37)] + [
+        40.0, THRESHOLD_DB, float(np.nextafter(THRESHOLD_DB, -np.inf)),
+        float(np.nextafter(THRESHOLD_DB, np.inf)), THRESHOLD_DB - 1e-9, THRESHOLD_DB + 1e-9,
+    ]
+
+    @pytest.mark.parametrize("jitter_db", [0.0, 3.0])
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_decide_matches_reference_composition(self, deterministic, jitter_db):
+        model = ReceptionModel(deterministic=deterministic, snr_jitter_db=jitter_db)
+        for seed, (rate, kind, payload) in enumerate(
+            (rate, kind, payload)
+            for rate in OFDM_RATES + DSSS_RATES
+            for kind in FrameKind
+            for payload in (0, 14, 100, 1400)
+        ):
+            frame = Frame(kind, "a", "b", payload, rate)
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            for sinr_db in self.SINRS_DB:
+                outcome = model.decide(frame, sinr_db, rng)
+                expected = _reference_decide(model, frame, sinr_db, twin)
+                assert outcome.frame is frame
+                assert (outcome.success, outcome.sinr_db, outcome.success_probability) == expected, (
+                    rate, kind, payload, sinr_db
+                )
+            assert rng.random() == twin.random(), (rate, kind, payload)
