@@ -19,7 +19,6 @@ from .hygiene import (
     NoFloatEqualityRule,
     NoMutableDefaultArgsRule,
 )
-from .retry import BoundedRetryLoopRule
 from .rng import NoUnseededRngRule
 from .slots import SlotsHotPathRule
 from .wallclock import NoWallClockRule
@@ -36,7 +35,6 @@ RULE_CLASSES: List[Type[Rule]] = [
     NoMutableDefaultArgsRule,
     NoFloatEqualityRule,
     DeterministicDictIterationRule,
-    BoundedRetryLoopRule,
 ]
 
 

@@ -35,15 +35,20 @@ Generic task studies fan any module-level function out over a config grid
 
 Sweep axes iterate with the last axis fastest (insertion order, like
 :func:`repro.runner.expand_grid`), replicates always innermost.  Builder
-methods return a new Study, so partial chains can be shared and forked.
+methods return a new Study, so partial chains can be shared and forked, and
+reject a bad setting (``workers(-1)``, ``on_error("ignore")``) at the call
+with a ``ValueError`` naming the parameter.
+
+A run that stopped part-way (a failed task, a dead worker, Ctrl-C) resumes
+by running the same study again: every settled result is in the cache, so
+only the rest executes.  ``on_error("skip")`` keeps the partial results of
+a run with failed tasks plus a machine-readable failure manifest.
 """
 
 from __future__ import annotations
 
 import copy
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
-
-import os
 
 from ..results import ResultSet
 from ..runner import (
@@ -52,12 +57,10 @@ from ..runner import (
     BatchRunner,
     BatchTask,
     ResultCache,
-    RetryPolicy,
-    RunJournal,
     config_hash,
-    default_journal_path,
     expand_grid,
 )
+from ..runner.batch import ON_ERROR_MODES
 from ..scenarios import (
     Scenario,
     aggregate_metrics,
@@ -131,11 +134,7 @@ class Study:
         self._cache: Optional[ResultCache] = None
         self._force: bool = False
         self._workers: int = 0
-        self._retry: Union[RetryPolicy, int, None] = None
-        self._task_timeout_s: Optional[float] = None
         self._on_error: str = "raise"
-        self._journal: Union[RunJournal, str, None] = None
-        self._resume: bool = False
 
     # -- alternate constructors ------------------------------------------------
 
@@ -223,46 +222,19 @@ class Study:
 
     def workers(self, n: int) -> "Study":
         """Default worker-process count for :meth:`run` (0/1 = in-process)."""
+        if n < 0:
+            raise ValueError(f"workers must be non-negative, got {n}")
         other = self._clone()
         other._workers = int(n)
-        return other
-
-    def retries(self, n: Union[RetryPolicy, int]) -> "Study":
-        """Retry budget per task: an attempt count or a full
-        :class:`~repro.runner.RetryPolicy` (taxonomy, backoff, jitter seed)."""
-        other = self._clone()
-        other._retry = n
-        return other
-
-    def task_timeout(self, seconds: Optional[float]) -> "Study":
-        """Per-task deadline; an overrunning task's worker is recycled."""
-        other = self._clone()
-        other._task_timeout_s = None if seconds is None else float(seconds)
         return other
 
     def on_error(self, mode: str) -> "Study":
         """``"raise"`` (default) or ``"skip"`` -- degrade to partial results
         plus a failure manifest instead of raising after the batch."""
+        if mode not in ON_ERROR_MODES:
+            raise ValueError(f"on_error must be one of {ON_ERROR_MODES}, got {mode!r}")
         other = self._clone()
         other._on_error = mode
-        return other
-
-    def journal(self, where: Union[RunJournal, os.PathLike, str, None], resume: bool = False) -> "Study":
-        """Attach a resumable run journal (a :class:`~repro.runner.RunJournal`
-        or its path); ``resume=True`` replays it and skips completed tasks."""
-        other = self._clone()
-        if where is None or isinstance(where, RunJournal):
-            other._journal = where
-        else:
-            other._journal = RunJournal(where)
-        other._resume = bool(resume)
-        return other
-
-    def resume(self, resume: bool = True) -> "Study":
-        """Replay the attached (or cache-adjacent) journal on the next run,
-        re-executing only tasks it does not mark completed."""
-        other = self._clone()
-        other._resume = bool(resume)
         return other
 
     # -- expansion -------------------------------------------------------------
@@ -332,21 +304,12 @@ class Study:
             if scenarios is not None
             else self._tasks()
         )
-        journal = self._journal
-        if journal is None and self._resume and self._cache is not None:
-            # Resuming without an explicit journal: use the conventional
-            # location next to the result cache.
-            journal = RunJournal(default_journal_path(self._cache.root))
         runner = BatchRunner(
             workers=self._workers if workers is None else int(workers),
             cache=self._cache,
             force=self._force,
             group_key=scenario_group_key if self._base is not None else None,
-            retry=self._retry,
-            task_timeout_s=self._task_timeout_s,
             on_error=self._on_error,
-            journal=journal,
-            resume=self._resume,
         )
         outcome = runner.run(tasks, progress=progress)
         return StudyResult(study=self, scenarios=scenarios, outcome=outcome)
@@ -379,7 +342,7 @@ class StudyResult:
     @property
     def failures(self) -> List[Dict[str, Any]]:
         """The machine-readable failure manifest (one entry per task that
-        exhausted its retry budget under ``on_error="skip"``)."""
+        failed under ``on_error="skip"``)."""
         return self.outcome.failure_manifest
 
     @property

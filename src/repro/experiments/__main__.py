@@ -100,20 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="parameter override, coerced by the typed spec "
                                  "(repeatable; with several experiments, keys "
                                  "apply where the experiment defines them)")
-    run_parser.add_argument("--retries", type=int, default=None,
-                            help="retry budget per task (experiments with a "
-                                 "'retries' parameter, e.g. run-scenarios)")
-    run_parser.add_argument("--task-timeout", type=float, default=None,
-                            dest="task_timeout",
-                            help="per-task deadline in seconds (experiments "
-                                 "with a 'task_timeout' parameter)")
-    run_parser.add_argument("--on-error", choices=("raise", "skip"), default=None,
-                            dest="on_error",
-                            help="failure handling: raise after the batch, or "
-                                 "skip to partial results + failure manifest")
-    run_parser.add_argument("--resume", action="store_true", default=False,
-                            help="replay the run journal and re-execute only "
-                                 "tasks not recorded as completed")
     run_parser.add_argument("--json", action="store_true",
                             help="print artifact manifests as JSON instead of text")
     run_parser.add_argument("--out", default=None, metavar="DIR",
@@ -172,26 +158,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     known_anywhere = {
         param.name for name in names for param in _experiment(name).params
     }
-    # The fault-tolerance flags are sugar for --set on the matching typed
-    # parameters; like --set, naming one no selected experiment defines is
-    # an error rather than a silent no-op.
-    fault_flags = {
-        "retries": args.retries,
-        "task_timeout": args.task_timeout,
-        "on_error": args.on_error,
-        "resume": args.resume or None,
-    }
-    for key, value in fault_flags.items():
-        if value is None:
-            continue
-        if key not in known_anywhere:
-            print(
-                f"--{key.replace('_', '-')}: no selected experiment has a "
-                f"{key!r} parameter",
-                file=sys.stderr,
-            )
-            return 1
-        raw_overrides.setdefault(key, value)
     for key in raw_overrides:
         if key not in known_anywhere:
             print(

@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..api import Study
 from ..api.experiment import experiment
-from ..runner import ResultCache, default_journal_path
+from ..runner import ResultCache
 from ..scenarios import TOPOLOGIES, Scenario
 from ..simulation.medium import DEFAULT_DETECTABILITY_MARGIN_DB
 from .base import ExperimentResult, default_cache_dir
@@ -97,20 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-cache", action="store_true", help="disable the result cache")
     parser.add_argument("--force", action="store_true",
                         help="re-execute and overwrite cached results")
-    parser.add_argument("--retries", type=int, default=0,
-                        help="retry budget per task for transient failures, "
-                             "timeouts, and worker crashes (default: 0)")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        help="per-task deadline in wall-clock seconds; an "
-                             "overrunning task counts as a timeout failure "
-                             "(default: none)")
     parser.add_argument("--on-error", choices=("raise", "skip"), default="raise",
                         help="after the batch drains: 'raise' on any failed task, "
                              "or 'skip' to keep partial results plus a failure "
                              "manifest (default: raise)")
-    parser.add_argument("--resume", action="store_true",
-                        help="replay the run journal next to the cache and "
-                             "re-execute only tasks not recorded as completed")
     parser.add_argument("--verbose", action="store_true", help="print one line per scenario")
     return parser
 
@@ -185,26 +175,20 @@ def _sweep(
     params: Mapping[str, Any], progress: Optional[Callable[[str], None]] = None
 ) -> ExperimentResult:
     """The one sweep body behind :func:`run` and :func:`main`."""
-    if params["resume"] and params["no_cache"]:
-        raise ValueError("resume needs the result cache (drop no_cache)")
     scenarios = build_scenarios(params)
     cache_dir = params["cache_dir"] or default_cache_dir()
     cache = None if params["no_cache"] else ResultCache(cache_dir)
     # Warm-group dispatch comes with the Study facade: grid points sharing a
     # (topology, propagation) fingerprint travel in the same chunks so warm
     # worker pools rebuild the expensive network state once per group.
-    study = (
+    study_run = (
         Study.of(scenarios)
         .cache(cache)
         .force(params["force"])
-        .retries(params["retries"])
-        .task_timeout(params["task_timeout"])
+        .workers(params["workers"])
         .on_error(params["on_error"])
+        .run(progress=progress)
     )
-    if cache is not None:
-        # Journal next to the cache so a crashed/killed sweep is resumable.
-        study = study.journal(default_journal_path(cache.root), resume=params["resume"])
-    study_run = study.run(workers=params["workers"], progress=progress)
 
     results = study_run.results()
     result = ExperimentResult(EXPERIMENT_ID, "Scenario sweep")
@@ -213,12 +197,10 @@ def _sweep(
     # it as an .npz sidecar; the text summary prints its short repr.
     result.data["results"] = results
     if study_run.failures:
-        # Machine-readable manifest of every task that exhausted its retry
-        # budget (only reachable under on_error="skip").
+        # Machine-readable manifest of every failed task (only reachable
+        # under on_error="skip").
         result.data["failures"] = study_run.failures
-        result.add_note(
-            f"failures: {len(study_run.failures)} task(s) skipped after retries"
-        )
+        result.add_note(f"failures: {len(study_run.failures)} task(s) skipped")
     if params["verbose"]:
         result.data["scenarios"] = {
             r["name"]: f"{r['total_pps']:.0f} pkt/s over {r['n_flows']} flows"
@@ -249,10 +231,7 @@ def run(
     cache_dir: Optional[str] = None,
     no_cache: bool = False,
     force: bool = False,
-    retries: int = 0,
-    task_timeout: Optional[float] = None,
     on_error: str = "raise",
-    resume: bool = False,
     verbose: bool = False,
 ) -> ExperimentResult:
     """Programmatic form of the CLI sweep (axes accept scalars or sequences).

@@ -1,16 +1,10 @@
 """Parallel batch execution of simulation and analysis tasks.
 
 The runner turns a parameter sweep into a list of :class:`BatchTask` items
-(a dotted-path function plus a JSON-able config), executes them across a
-supervised ``multiprocessing`` worker pool with per-task seeding, and caches
-every result on disk keyed by a stable hash of the task config so repeated
-sweeps skip straight to aggregation.
-
-The execution layer is fault-tolerant: per-task deadlines
-(``task_timeout_s``), a deterministic :class:`RetryPolicy` with capped
-seeded-jitter backoff, worker-crash survival (a killed worker loses only its
-in-flight tasks), an append-only resumable :class:`RunJournal`, and a
-deterministic :class:`FaultPlan` chaos harness to test all of it.
+(a dotted-path function plus a JSON-able config), executes them in-process
+or over a stdlib process pool with per-task seeding, and caches every
+result on disk keyed by a stable hash of the task config, so a repeated --
+or interrupted -- sweep re-executes only what the cache cannot serve.
 
 Typical use::
 
@@ -19,19 +13,21 @@ Typical use::
     configs = expand_grid({"alpha": 3.0}, {"rmax": [20, 55, 120]})
     tasks = [BatchTask(fn="repro.experiments.figure04_curves.curve_task",
                        config=c) for c in configs]
-    runner = BatchRunner(workers=4, cache=ResultCache("~/.cache/repro"),
-                         retry=2, task_timeout_s=300.0,
-                         journal="~/.cache/repro/journal.jsonl")
+    runner = BatchRunner(workers=4, cache=ResultCache("~/.cache/repro"))
     outcome = runner.run(tasks)
     outcome.results          # ordered like the tasks
     outcome.report.executed  # 0 on a warm cache
 """
 
-from .batch import BatchExecutionError, BatchOutcome, BatchReport, BatchRunner, BatchTask
+from .batch import (
+    BatchExecutionError,
+    BatchOutcome,
+    BatchReport,
+    BatchRunner,
+    BatchTask,
+    TaskError,
+)
 from .cache import ResultCache, config_hash
-from .faults import FaultPlan, FaultSpec, InjectedFatalError, InjectedTransientError
-from .journal import JournalState, RunJournal, default_journal_path
-from .policy import RetryPolicy, TaskError, TransientTaskError
 from .sweep import expand_grid, per_task_seed
 
 __all__ = [
@@ -40,18 +36,9 @@ __all__ = [
     "BatchReport",
     "BatchRunner",
     "BatchTask",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFatalError",
-    "InjectedTransientError",
-    "JournalState",
     "ResultCache",
-    "RetryPolicy",
-    "RunJournal",
     "TaskError",
-    "TransientTaskError",
     "config_hash",
-    "default_journal_path",
     "expand_grid",
     "per_task_seed",
 ]

@@ -14,26 +14,3 @@ def maybe_fail(value: int = 0, fail: bool = False) -> int:
     if fail:
         raise RuntimeError(f"task {value} exploded")
     return value * 2
-
-
-def flaky_fail(value: int = 0, transient: bool = False) -> int:
-    """Double the value, or raise a *retryable* error on demand.
-
-    ``transient=True`` raises :class:`~repro.runner.policy.TransientTaskError`
-    every time -- pair it with a :class:`~repro.runner.faults.FaultPlan`
-    (which can stand down after N attempts) when the failure should heal.
-    """
-    if transient:
-        from .policy import TransientTaskError
-
-        raise TransientTaskError(f"task {value} wobbled")
-    return value * 2
-
-
-def slow_echo(value: int = 0, sleep_s: float = 0.0) -> int:
-    """Double the value after an optional real-time delay (deadline tests)."""
-    if sleep_s > 0:
-        import time
-
-        time.sleep(sleep_s)
-    return value * 2

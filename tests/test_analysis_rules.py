@@ -642,104 +642,6 @@ def test_set_iteration_rule_accepts_sorted_sets():
     )
 
 
-# -- bounded-retry-loop ------------------------------------------------------
-
-
-def test_retry_loop_rule_fires_on_unguarded_while_true():
-    findings = _lint(
-        """
-        def retry_forever(task):
-            while True:
-                try:
-                    return task()
-                except Exception:
-                    continue
-        """,
-        module="repro.runner.fixture",
-    )
-    assert [f.rule for f in findings] == ["bounded-retry-loop"]
-    assert "attempt-cap" in findings[0].message
-
-
-def test_retry_loop_rule_fires_on_while_one():
-    assert "bounded-retry-loop" in _rules_fired(
-        """
-        def spin(queue):
-            while 1:
-                queue.drain()
-        """,
-        module="repro.api.fixture",
-    )
-
-
-def test_retry_loop_rule_accepts_sentinel_and_cap_guards():
-    assert "bounded-retry-loop" not in _rules_fired(
-        """
-        def worker_loop(conn):
-            while True:
-                chunk = conn.recv()
-                if chunk is None:
-                    break
-                handle(chunk)
-
-        def retry_capped(task, max_retries):
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    return task()
-                except Exception:
-                    if attempt > max_retries:
-                        raise
-        """,
-        module="repro.runner.fixture",
-    )
-
-
-def test_retry_loop_rule_accepts_bounded_for_and_conditional_while():
-    assert "bounded-retry-loop" not in _rules_fired(
-        """
-        def retry_for(task, budget):
-            for attempt in range(budget):
-                try:
-                    return task()
-                except Exception:
-                    pass
-
-        def drain(outstanding):
-            while outstanding > 0:
-                outstanding -= 1
-        """,
-        module="repro.runner.fixture",
-    )
-
-
-def test_retry_loop_rule_ignores_inner_loop_break():
-    # The guard's break must escape the *outer* while-True; one that only
-    # exits a nested loop does not bound it.
-    assert "bounded-retry-loop" in _rules_fired(
-        """
-        def shuffle(queues):
-            while True:
-                for queue in queues:
-                    if queue.empty():
-                        break
-        """,
-        module="repro.runner.fixture",
-    )
-
-
-def test_retry_loop_rule_scoped_to_execution_layer():
-    assert "bounded-retry-loop" not in _rules_fired(
-        """
-        def event_loop():
-            while True:
-                pass
-        """,
-        module="repro.simulation.fixture",
-    )
-
-
 # -- suppressions ------------------------------------------------------------
 
 

@@ -202,12 +202,18 @@ class TestStudyFacade:
 
     def test_fault_tolerance_builders_do_not_mutate(self):
         base = Study.tasks("repro.runner.sweep.per_task_seed", {"base_seed": 7})
-        tuned = base.retries(2).task_timeout(30.0).on_error("skip").resume()
-        assert base._retry is None and base._on_error == "raise"
-        assert tuned._retry == 2
-        assert tuned._task_timeout_s == 30.0
+        tuned = base.workers(2).on_error("skip")
+        assert base._workers == 0 and base._on_error == "raise"
+        assert tuned._workers == 2
         assert tuned._on_error == "skip"
-        assert tuned._resume is True
+
+    def test_bad_dispatch_settings_fail_at_the_builder(self):
+        base = Study.tasks("repro.runner.sweep.per_task_seed", {"base_seed": 7})
+        with pytest.raises(ValueError, match="on_error"):
+            base.on_error("ignore")
+        with pytest.raises(ValueError, match="workers"):
+            base.workers(-1)
+        assert base._on_error == "raise" and base._workers == 0
 
     def test_skip_mode_yields_partial_results_and_manifest(self):
         run = (
@@ -223,20 +229,6 @@ class TestStudyFacade:
         assert run.completed == [0, 4]
         assert [f["index"] for f in run.failures] == [1]
         assert run.failures[0]["exc_type"] == "RuntimeError"
-
-    def test_resume_uses_cache_adjacent_journal(self, tmp_path):
-        from repro.runner import default_journal_path
-
-        study = (
-            Study.tasks("repro.runner.sweep.per_task_seed", {"base_seed": 7})
-            .sweep(index=[0, 1])
-            .cache(str(tmp_path / "cache"))
-        )
-        first = study.journal(default_journal_path(tmp_path / "cache")).run()
-        assert first.report.executed == 2
-        resumed = study.resume().run()
-        assert resumed.report.journal_skips == 2
-        assert resumed.raw == first.raw
 
 
 class TestRegistries:

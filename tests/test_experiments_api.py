@@ -358,9 +358,9 @@ BAD_SWEEPS = {
         dict(topology="grid", nodes=1), ["--topology", "grid", "--nodes", "1"],
         ["topology=grid", "nodes=1"], "invalid scenario grid-n1-.*at least two nodes",
     ),
-    "resume-without-cache": (
-        dict(resume=True, no_cache=True), ["--resume", "--no-cache"],
-        ["resume=true", "no_cache=true"], "resume needs the result cache",
+    "negative-workers": (
+        dict(workers=-1), ["--workers", "-1"], ["workers=-1"],
+        "workers must be non-negative",
     ),
 }
 

@@ -218,7 +218,8 @@ class TestCacheIntegration:
         assert retry.results == first.results
 
     def test_columnar_results_identical_across_worker_pool(self, tmp_path):
-        tasks = [scenario_task(s) for s in ALL_TOPOLOGY_SCENARIOS[:4]]
+        tasks = [scenario_task(s) for s in ALL_TOPOLOGY_SCENARIOS]
+        assert len(tasks) == 7
         serial = BatchRunner(workers=0).run(tasks)
         pooled = BatchRunner(workers=2).run(tasks)
         assert pooled.results == serial.results

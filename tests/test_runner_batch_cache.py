@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -152,8 +154,11 @@ class TestBatchRunner:
         entry_path = cache._path(task.cache_key)
         entry_path.write_text("{not json")
         retry = BatchRunner(workers=0, cache=cache).run([task])
+        assert retry.report.cache_hits == 0
         assert retry.report.executed == 1
         assert retry.results == outcome.results
+        # The re-executed result replaced the garbage entry.
+        assert BatchRunner(workers=0, cache=cache).run([task]).report.cache_hits == 1
 
 
 class TestCorruptEntryEviction:
@@ -242,12 +247,51 @@ class TestBatchErrorIsolation:
         assert error.message == "task 1 exploded"
         assert "Traceback (most recent call last)" in error.traceback
         assert report.failures[1] == error.format()
+        assert error.format().startswith("RuntimeError: task 1 exploded\n")
 
     def test_exception_message_format_unchanged(self):
         # Byte-compatibility of the summary line consumers parse.
         with pytest.raises(BatchExecutionError, match=r"1 of 4 batch task\(s\) failed "
                                                       r"\(task 1: RuntimeError: task 1 exploded\)"):
             BatchRunner(workers=0).run(self._tasks({1}))
+
+
+class TestProgressHeartbeat:
+    def _tasks(self, n):
+        return [BatchTask(fn=FLAKY_TASK, config={"value": i}) for i in range(n)]
+
+    def test_heartbeat_fires_throughout_the_batch(self):
+        lines = []
+        BatchRunner(workers=0, chunksize=2).run(self._tasks(6), progress=lines.append)
+        assert lines[0] == "executing 6/6 tasks (0 cached)"
+        # One heartbeat per chunk of two, the last one at the end.
+        assert lines[1:] == ["2/6 tasks done", "4/6 tasks done", "6/6 tasks done"]
+
+    def test_no_progress_callback_no_crash(self):
+        outcome = BatchRunner(workers=0, chunksize=1).run(self._tasks(2))
+        assert outcome.results == [0, 2]
+
+
+def test_clean_run_summary_unchanged():
+    tasks = [BatchTask(fn=FLAKY_TASK, config={"value": i}) for i in range(2)]
+    summary = BatchRunner(workers=0).run(tasks).report.summary()
+    assert summary.startswith("2 tasks: 2 executed, 0 cache hits (1 worker(s), ")
+    assert summary.endswith("s)")
+
+
+def test_dead_worker_raises_broken_pool_and_rerun_resumes(tmp_path):
+    """A worker that exits hard breaks the pool: ``run()`` raises promptly
+    instead of hanging, and a re-run serves what settled from the cache."""
+    good = [BatchTask(fn=SEED_TASK, config={"base_seed": 7, "index": i}) for i in range(6)]
+    doomed = good[:3] + [BatchTask(fn="os._exit", config={"status": 3})] + good[3:]
+    cache = ResultCache(tmp_path / "cache")
+    start = time.perf_counter()
+    with pytest.raises(BrokenProcessPool):
+        BatchRunner(workers=2, chunksize=1, cache=cache).run(doomed)
+    assert time.perf_counter() - start < 30.0
+    rerun = BatchRunner(workers=2, chunksize=1, cache=cache).run(good)
+    assert rerun.results == BatchRunner(workers=0).run(good).results
+    assert rerun.report.executed + rerun.report.cache_hits == len(good)
 
 
 class TestScenarioCaching:
