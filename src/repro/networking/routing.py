@@ -99,9 +99,9 @@ class RouteTable:
     ) -> "RouteTable":
         """Routes over the links whose received power clears ``threshold_dbm``.
 
-        ``rx_dbm`` is the matrix :meth:`repro.simulation.medium.Medium.\
-compute_rx_dbm_matrix` produces (``rx_dbm[i, j]`` = power of ``i``'s
-        transmission at ``j``; ``-inf`` diagonal).
+        ``rx_dbm`` is the matrix :meth:`repro.simulation.medium.LinkRows.\
+matrix` produces (``rx_dbm[i, j]`` = power of ``i``'s transmission at
+        ``j``; ``-inf`` diagonal).
         """
         return cls.from_adjacency(ids, np.asarray(rx_dbm) >= threshold_dbm)
 

@@ -15,7 +15,7 @@ probing phase and the measurement phase).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 
@@ -26,12 +26,13 @@ from ..constants import (
 )
 from ..units import db_to_linear
 from .fading import RayleighFading
-from .pathloss import LogDistancePathLoss, path_gain
+from .pathloss import ArrayLike, LogDistancePathLoss, path_gain
 from .shadowing import ShadowingModel
 
 __all__ = ["NormalizedChannel", "ChannelModel", "LinkBudget", "ShadowingTable"]
 
 PairKey = Tuple[Hashable, Hashable]
+IndexLike = Union[int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class NormalizedChannel:
 
     alpha: float = 3.0
     sigma_db: float = 0.0
-    noise: float = db_to_linear(-65.0)
+    noise: float = cast(float, db_to_linear(-65.0))
     # Deliberately unseeded exploratory default: every experiment and
     # scenario path injects a seeded generator.
     rng: np.random.Generator = field(default_factory=np.random.default_rng)  # simlint: disable=no-unseeded-rng
@@ -74,7 +75,9 @@ class NormalizedChannel:
             raise ValueError("noise must be positive")
         self._shadowing = ShadowingModel(self.sigma_db, rng=self.rng)
 
-    def received_power(self, distance: Union[float, np.ndarray], shadowing_gain=None):
+    def received_power(
+        self, distance: ArrayLike, shadowing_gain: Optional[ArrayLike] = None
+    ) -> ArrayLike:
         """Normalised received power at the given distance(s).
 
         ``shadowing_gain`` may be supplied explicitly (e.g. a pre-drawn Monte
@@ -86,24 +89,55 @@ class NormalizedChannel:
             shadowing_gain = self._shadowing.sample_linear(size)
         return gain * shadowing_gain
 
-    def snr(self, distance, shadowing_gain=None, interference: float = 0.0):
+    def snr(
+        self,
+        distance: ArrayLike,
+        shadowing_gain: Optional[ArrayLike] = None,
+        interference: float = 0.0,
+    ) -> ArrayLike:
         """Signal-to-interference-plus-noise ratio at the given distance(s)."""
         return self.received_power(distance, shadowing_gain) / (self.noise + interference)
 
-    def draw_shadowing(self, size=None):
+    def draw_shadowing(self, size: Optional[Union[int, Tuple[int, ...]]] = None) -> ArrayLike:
         """Draw lognormal shadowing gain(s) from this channel's distribution."""
         return self._shadowing.sample_linear(size)
 
 
-class ShadowingTable(NamedTuple):
-    """A channel's batch-drawn shadowing: one read-only symmetric matrix.
+def _pair_index(i: IndexLike, j: IndexLike, n: int) -> IndexLike:
+    """Position of the pair ``(i, j)``, ``i < j``, in an ``n``-node condensed
+    vector (row-major upper triangle); works on scalars and index arrays."""
+    return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
-    ``matrix_db[i, j]`` is the static shadowing (dB) of the unordered pair
-    ``(ids[i], ids[j])``; the diagonal is zero and never queried.
+
+class ShadowingTable(NamedTuple):
+    """A channel's batch-drawn shadowing over one node order, condensed.
+
+    ``condensed_db`` holds the static shadowing (dB) of every unordered pair
+    ``(ids[i], ids[j])``, ``i < j``, in row-major order -- the order of the
+    one batched ``rng.normal`` draw, so a cold draw is stored as it comes out
+    (``n (n - 1) / 2`` values, half a square matrix).  :meth:`value` reads one
+    pair and :meth:`row` one node's shadowing towards every node.  Read-only.
     """
 
     ids: Tuple[Hashable, ...]
-    matrix_db: np.ndarray
+    condensed_db: np.ndarray
+
+    def value(self, i: int, j: int) -> float:
+        """Shadowing (dB) between positions ``i != j``."""
+        if i > j:
+            i, j = j, i
+        return float(self.condensed_db[_pair_index(i, j, len(self.ids))])
+
+    def row(self, i: int) -> np.ndarray:
+        """Shadowing (dB) from position ``i`` to every position; 0 at ``i``."""
+        n = len(self.ids)
+        row = np.empty(n)
+        lower = np.arange(i)
+        row[:i] = self.condensed_db[_pair_index(lower, i, n)]
+        row[i] = 0.0
+        start = i * (2 * n - i - 1) // 2  # the pair (i, i + 1)
+        row[i + 1:] = self.condensed_db[start:start + n - i - 1]
+        return row
 
 
 @dataclass
@@ -115,9 +149,9 @@ class ChannelModel:
     unordered node pair, so links are reciprocal (the paper's Figure 14 fit
     assumes symmetric channels).  It lives in two places, consulted in this
     order: a small dict of pinned (:meth:`set_shadowing_db`) and lazily drawn
-    pairs, then the :class:`ShadowingTable` that :meth:`shadowing_matrix`
-    draws in one batch.  A pair found in neither is drawn on first query and
-    kept in the dict.
+    pairs, then the :class:`ShadowingTable` that :meth:`shadowing_for` draws
+    in one batch.  A pair found in neither is drawn on first query and kept
+    in the dict.
     """
 
     path_loss: LogDistancePathLoss = field(
@@ -161,12 +195,12 @@ class ChannelModel:
         """
         if self.holds_shadowing:
             raise ValueError("channel already holds shadowing draws or pins")
-        self._set_table(table.ids, table.matrix_db)
+        self._set_table(table)
 
-    def _set_table(self, ids: Sequence[Hashable], matrix_db: np.ndarray) -> None:
-        matrix_db.flags.writeable = False
-        self._table = ShadowingTable(tuple(ids), matrix_db)
-        self._table_index = {node: i for i, node in enumerate(ids)}
+    def _set_table(self, table: ShadowingTable) -> None:
+        table.condensed_db.flags.writeable = False
+        self._table = table
+        self._table_index = {node: i for i, node in enumerate(table.ids)}
 
     def shadowing_db(self, a: Hashable, b: Hashable) -> float:
         """Static shadowing value (dB) for the unordered pair ``(a, b)``."""
@@ -176,8 +210,8 @@ class ChannelModel:
             return value
         i = self._table_index.get(a)
         j = self._table_index.get(b)
-        if i is not None and j is not None and i != j:
-            return float(self._table.matrix_db[i, j])
+        if self._table is not None and i is not None and j is not None and i != j:
+            return self._table.value(i, j)
         value = 0.0 if self.sigma_db == 0.0 else float(self.rng.normal(0.0, self.sigma_db))
         self._pair_shadowing_db[key] = value
         return value
@@ -186,92 +220,91 @@ class ChannelModel:
         """Pin the shadowing value for a pair (used by tests and scenarios)."""
         self._pair_shadowing_db[self._pair_key(a, b)] = float(value_db)
 
-    def shadowing_matrix(self, ids: Sequence[Hashable]) -> np.ndarray:
-        """Symmetric per-pair shadowing matrix (dB) for the given node order.
+    def shadowing_for(self, ids: Sequence[Hashable]) -> Optional[ShadowingTable]:
+        """The shadowing of every pair over ``ids``, in that node order.
 
-        Known values (pinned, drawn lazily, or in the table) are reused
-        verbatim; missing pairs are drawn in one batched call, in
-        deterministic ``(i, j), i < j`` order, and kept so later per-pair
-        queries agree with the matrix.  The result may be the channel's own
-        read-only table: copy it before writing.
+        ``None`` means every pair is at 0 dB: ``sigma_db == 0`` and nothing
+        was drawn or pinned.  On an untouched channel (the cold scenario run)
+        the pairs are drawn in one batch, which becomes the channel's table
+        as it comes out.  Otherwise known values (pinned, drawn lazily, or in
+        the table) are reused verbatim and only the missing pairs are drawn,
+        in one batch in ``(i, j), i < j`` order, and kept so later per-pair
+        queries agree with the result.
         """
         n = len(ids)
+        if not n:
+            return None
         if not self.holds_shadowing:
             if self.sigma_db == 0.0:
-                return np.zeros((n, n))
-            # Cold start (the common scenario-run case): the batch becomes
-            # the table, with no per-pair bookkeeping.
-            iu, ju = np.triu_indices(n, k=1)
-            draws = self.rng.normal(0.0, self.sigma_db, size=iu.size)
-            matrix = np.zeros((n, n))
-            matrix[iu, ju] = draws
-            matrix[ju, iu] = draws
-            self._set_table(ids, matrix)
-            return matrix
-        position = {node: i for i, node in enumerate(ids)}
-        matrix, known = self._known_shadowing(position)
-        iu, ju = np.nonzero(np.triu(~known, k=1))  # row-major: (i, j), i < j
-        if not iu.size:
-            return matrix
-        if self.sigma_db > 0.0:
-            draws = self.rng.normal(0.0, self.sigma_db, size=iu.size)
-        else:
-            draws = np.zeros(iu.size)
-        matrix[iu, ju] = draws
-        matrix[ju, iu] = draws
-        if self._table is None or all(node in position for node in self._table.ids):
-            # The new matrix holds every table value: it supersedes the table.
-            self._set_table(ids, matrix)
-        else:
-            for i, j, draw in zip(iu.tolist(), ju.tolist(), draws.tolist()):
-                self._pair_shadowing_db[self._pair_key(ids[i], ids[j])] = draw
-        return matrix
-
-    def _known_shadowing(
-        self, position: Dict[Hashable, int]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The matrix of already-known values over ``position``'s node order,
-        and the mask of which entries are known (the dict wins over the table).
-        """
-        n = len(position)
-        matrix = np.zeros((n, n))
-        known = np.zeros((n, n), dtype=bool)
-        if self._table is not None:
-            rows = np.fromiter(
-                (self._table_index.get(node, -1) for node in position),
-                dtype=np.intp,
-                count=n,
+                return None
+            table = ShadowingTable(
+                tuple(ids), self.rng.normal(0.0, self.sigma_db, size=n * (n - 1) // 2)
             )
-            present = np.flatnonzero(rows >= 0)
-            matrix[np.ix_(present, present)] = self._table.matrix_db[
-                np.ix_(rows[present], rows[present])
+            self._set_table(table)
+            return table
+        values, known = self._known_shadowing(ids)
+        missing = np.flatnonzero(~known)
+        if self.sigma_db > 0.0:
+            draws = self.rng.normal(0.0, self.sigma_db, size=missing.size)
+        else:
+            draws = np.zeros(missing.size)
+        values[missing] = draws
+        table = ShadowingTable(tuple(ids), values)
+        old = self._table
+        if old is None or all(node in table.ids for node in old.ids):
+            # The new table holds every old table value: it supersedes it.
+            self._set_table(table)
+        else:
+            rows, columns = np.triu_indices(n, k=1)
+            for i, j, draw in zip(rows[missing].tolist(), columns[missing].tolist(),
+                                  draws.tolist()):
+                self._pair_shadowing_db[self._pair_key(ids[i], ids[j])] = draw
+        return table
+
+    def _known_shadowing(self, ids: Sequence[Hashable]) -> Tuple[np.ndarray, np.ndarray]:
+        """The already-known values over ``ids`` in condensed order, and the
+        mask of which are known (the dict wins over the table)."""
+        n = len(ids)
+        values = np.zeros(n * (n - 1) // 2)
+        known = np.zeros(values.size, dtype=bool)
+        if self._table is not None:
+            old = np.fromiter(
+                (self._table_index.get(node, -1) for node in ids), dtype=np.intp, count=n
+            )
+            present = np.flatnonzero(old >= 0)
+            first, second = np.triu_indices(present.size, k=1)
+            i, j = present[first], present[second]
+            a, b = old[i], old[j]
+            new = _pair_index(i, j, n)
+            values[new] = self._table.condensed_db[
+                _pair_index(np.minimum(a, b), np.maximum(a, b), len(self._table.ids))
             ]
-            known[np.ix_(present, present)] = True
+            known[new] = True
+        position = {node: i for i, node in enumerate(ids)}
+        for (a_id, b_id), value in self._pair_shadowing_db.items():
+            p = position.get(a_id)
+            q = position.get(b_id)
+            if p is not None and q is not None and p != q:
+                k = _pair_index(min(p, q), max(p, q), n)
+                values[k] = value
+                known[k] = True
+        return values, known
+
+    def overridden_pairs(
+        self, ids: Sequence[Hashable], table: Optional[ShadowingTable]
+    ) -> List[PairKey]:
+        """Pairs over ``ids`` whose pinned or lazily drawn value differs from
+        ``table`` (``None``: every pair at 0 dB)."""
+        position = {node: i for i, node in enumerate(ids)}
+        overridden: List[PairKey] = []
         for (a, b), value in self._pair_shadowing_db.items():
             i = position.get(a)
             j = position.get(b)
-            if i is not None and j is not None and i != j:
-                matrix[i, j] = matrix[j, i] = value
-                known[i, j] = known[j, i] = True
-        return matrix, known
-
-    def rx_power_matrix(
-        self, ids: Sequence[Hashable], distance_m: np.ndarray
-    ) -> np.ndarray:
-        """Received power (dBm) for every ordered pair, in one vectorized pass.
-
-        ``distance_m[i, j]`` is the (already clamped) distance from node
-        ``ids[i]`` to node ``ids[j]``; the diagonal is ignored by callers but
-        must still be strictly positive for the path-loss model.  The result
-        composes path loss and per-pair shadowing exactly like
-        :meth:`link_budget` (without fading), so matrix entries are
-        bit-identical to per-pair ``rx_power_dbm`` queries.
-        """
-        distances = np.asarray(distance_m, dtype=float)
-        if distances.shape != (len(ids), len(ids)):
-            raise ValueError("distance matrix shape must match the node list")
-        loss = np.asarray(self.path_loss.loss_db(distances), dtype=float)
-        return self.tx_power_dbm - loss + self.shadowing_matrix(ids)
+            if i is None or j is None or i == j:
+                continue
+            if value != (0.0 if table is None else table.value(i, j)):
+                overridden.append((a, b))
+        return overridden
 
     # -- link budget -----------------------------------------------------------
 
@@ -300,11 +333,15 @@ class ChannelModel:
             noise_floor_dbm=self.noise_floor_dbm,
         )
 
-    def rx_power_dbm(self, a, b, distance_m: float, include_fading: bool = False) -> float:
+    def rx_power_dbm(
+        self, a: Hashable, b: Hashable, distance_m: float, include_fading: bool = False
+    ) -> float:
         """Received power (dBm) from ``a`` at ``b``."""
         return self.link_budget(a, b, distance_m, include_fading).rx_power_dbm
 
-    def rx_power_mw(self, a, b, distance_m: float, include_fading: bool = False) -> float:
+    def rx_power_mw(
+        self, a: Hashable, b: Hashable, distance_m: float, include_fading: bool = False
+    ) -> float:
         """Received power (milliwatts) from ``a`` at ``b``."""
         return float(10.0 ** (self.rx_power_dbm(a, b, distance_m, include_fading) / 10.0))
 

@@ -6,15 +6,16 @@ it takes the flattened scenario config as keyword arguments, so a task's
 config is exactly :meth:`Scenario.as_config`.
 
 Warm pools: each worker process keeps a small LRU of
-``(placement, rx-power matrix, shadowing table)`` warm states keyed by
-:meth:`Scenario.warm_key`, so a sweep whose grid points differ only in
-traffic, MAC, or measurement settings pays the O(N^2) topology/propagation
-setup once per group rather than once per task.  The warm state is the exact
-computation finalisation would perform (:meth:`Medium.compute_rx_dbm_matrix`
-with the same seeded channel), so results -- and therefore the sha256 result
-cache keys, which hash only the scenario config -- are untouched.  Sorting a
-batch with :func:`scenario_group_key` keeps same-group tasks in the same
-submission chunks, which maximises per-worker hit rates.
+``(placement, link rows)`` warm states keyed by :meth:`Scenario.warm_key`, so
+a sweep whose grid points differ only in traffic, MAC, or measurement
+settings generates the placement and draws the shadowing once per group
+rather than once per task.  The :class:`~repro.simulation.medium.LinkRows`
+table is the one finalisation would build (same seeded channel), and the
+received-power rows it builds on a sender's first transmission are kept, so
+later cells of the group reuse them.  Results -- and therefore the sha256
+result cache keys, which hash only the scenario config -- are untouched.
+Sorting a batch with :func:`scenario_group_key` keeps same-group tasks in
+the same submission chunks, which maximises per-worker hit rates.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ __all__ = [
 
 RUN_SCENARIO_PATH = "repro.scenarios.execute.run_scenario"
 
-#: Warm states kept per worker process.  Each holds one placement plus at
-#: most two read-only N x N float matrices (rx power and shadowing, ~2 MB each
-#: at 500 nodes), so the cap bounds memory while still covering a handful of
-#: interleaved (topology, propagation) groups.
+#: Warm states kept per worker process.  Each holds one placement and its
+#: link rows: the condensed shadowing (N (N - 1) / 2 floats, ~1 MB at 500
+#: nodes) plus two N-float rows per sender that has transmitted, so the cap
+#: bounds memory while still covering a handful of interleaved (topology,
+#: propagation) groups.
 WARM_CACHE_SIZE = 4
 
 _warm_cache: "OrderedDict[Tuple[Any, ...], Any]" = OrderedDict()

@@ -22,17 +22,21 @@ from ..control.controllers import controller_rng
 from ..control.env import SimEnv
 from ..networking.forwarding import ForwardingNode, ForwardingQueue
 from ..networking.routing import RouteTable
-from ..propagation.channel import ChannelModel, ShadowingTable
+from ..propagation.channel import ChannelModel
 from ..propagation.pathloss import LogDistancePathLoss
 from ..registry import CONTROLLERS, MACS, TRAFFIC_MODELS
 from ..results import ResultSet
 from ..simulation.mac.tdma import TdmaSchedule
-from ..simulation.medium import DEFAULT_DETECTABILITY_MARGIN_DB, Medium
+from ..simulation.medium import DEFAULT_DETECTABILITY_MARGIN_DB, LinkRows
 from ..simulation.network import RunResult, WirelessNetwork
 from ..simulation.traffic import OnOffTraffic, PoissonTraffic, SaturatedTraffic
 from .topologies import Placement, generate_topology
 
-__all__ = ["Scenario"]
+__all__ = ["Scenario", "WarmState"]
+
+#: A (topology, propagation) group's shared set-up: the placement and the
+#: received-power rows over its nodes (see :meth:`Scenario.compute_warm_state`).
+WarmState = Tuple[Placement, LinkRows]
 
 
 # -- builtin traffic models ------------------------------------------------------
@@ -250,75 +254,64 @@ class Scenario:
         params = tuple(sorted((str(k), repr(v)) for k, v in self.topology_params.items()))
         return tuple(getattr(self, name) for name in self._WARM_FIELDS) + (params,)
 
-    def compute_warm_state(
-        self,
-    ) -> Tuple[Placement, np.ndarray, Optional[ShadowingTable]]:
-        """Precompute the placement, rx-power matrix, and shadowing table.
+    def compute_warm_state(self) -> WarmState:
+        """Precompute the placement and its :class:`LinkRows` table.
 
-        The matrix is byte-for-byte what :meth:`Medium.finalize` would
-        compute (same seeded channel, same shadowing draws), so handing it to
-        :meth:`build_network` changes wall-clock only, never results.  The
-        channel's read-only :class:`ShadowingTable` (``None`` at
-        ``sigma_db == 0``) rides along, so the warm network's channel answers
-        per-pair queries (oracle SNRs, link budgets) identically to a
-        cold-built one.
+        The table draws its shadowing from the same seeded channel that
+        :meth:`Medium.finalize` would use, so handing the state to
+        :meth:`build_network` changes wall-clock only, never results.  Its
+        rows are built on first use and kept, so every network the state
+        primes shares them; the network's channel adopts the table's
+        shadowing, so per-pair queries (oracle SNRs, link budgets) answer
+        identically to a cold-built one.
         """
         return self._warm_state()
 
-    def _warm_state(self) -> Tuple[Placement, np.ndarray, Optional[ShadowingTable]]:
+    def _warm_state(self) -> WarmState:
         # Shared with cold routed builds, which use the state internally
         # rather than hand it over.
         placement = self.placement()
-        channel = self.channel()
-        rx_dbm = Medium.compute_rx_dbm_matrix(
-            channel, list(placement.positions), placement.positions
-        )
-        return placement, rx_dbm, channel.shadowing_table
+        rows = LinkRows(self.channel(), list(placement.positions), placement.positions)
+        return placement, rows
 
-    def route_table(self, warm: Optional[Tuple[Any, ...]] = None) -> RouteTable:
+    def route_table(self, warm: Optional[WarmState] = None) -> RouteTable:
         """The static shortest-path route table this spec's topology implies.
 
         A directed link exists where the received power clears the noise
         floor by the configured rate's minimum SNR (plus an optional
         ``routing_params["link_margin_db"]``), i.e. exactly the frames the
-        PHY can decode in the clear.  The matrix comes from the same seeded
-        channel the medium finalises with, so routes agree with the links
-        packets actually traverse.
+        PHY can decode in the clear.  The powers come from the warm state's
+        rows (computed here when ``warm`` is ``None``), drawn from the same
+        seeded channel the medium finalises with, so routes agree with the
+        links packets actually traverse.
         """
         if self.routing is None:
             raise ValueError("scenario has no routing layer (routing=None)")
-        channel = self.channel()
-        if warm is not None:
-            placement, rx_dbm = warm[0], warm[1]
-        else:
-            placement = self.placement()
-            rx_dbm = Medium.compute_rx_dbm_matrix(
-                channel, list(placement.positions), placement.positions
-            )
+        placement, rows = warm if warm is not None else self._warm_state()
         params = dict(self.routing_params)
         link_margin_db = float(params.pop("link_margin_db", 0.0))
         if params:
             raise ValueError(f"unknown routing_params: {sorted(params)}")
         threshold_dbm = (
-            channel.noise_floor_dbm
+            self.channel().noise_floor_dbm
             + rate_by_mbps(self.rate_mbps).min_snr_db
             + link_margin_db
         )
         return RouteTable.from_rx_matrix(
-            list(placement.positions), rx_dbm, threshold_dbm
+            list(placement.positions), rows.matrix(), threshold_dbm
         )
 
     def build_network(
-        self, warm: Optional[Tuple[Any, ...]] = None
+        self, warm: Optional[WarmState] = None
     ) -> Tuple[WirelessNetwork, Placement]:
         """Expand the spec into a ready-to-run :class:`WirelessNetwork`.
 
         ``warm`` is an optional state from :meth:`compute_warm_state` (for
         this spec's :meth:`warm_key`); it skips re-generating the topology
-        and re-computing the N x N power matrix when many scenarios share
-        one (topology, propagation) group.  A bare ``(placement, rx_dbm)``
-        pair is also accepted.  A routed spec built cold computes its warm
-        state itself: the route table and the medium then share one matrix.
+        and re-drawing the shadowing, and shares the rows already built,
+        when many scenarios share one (topology, propagation) group.  A
+        routed spec built cold computes its warm state itself: the route
+        table and the medium then share one table.
         """
         if warm is None and self.routing is not None:
             warm = self._warm_state()
@@ -331,11 +324,7 @@ class Scenario:
             cca_noise_db=self.cca_noise_db,
         )
         if warm is not None:
-            net.medium.prime_rx_matrix(
-                list(placement.positions),
-                warm[1],
-                warm[2] if len(warm) > 2 else None,
-            )
+            net.medium.prime_rx_matrix(warm[1])
         senders = {src: dst for src, dst in placement.flows}
         routes = None
         if self.routing is not None:
@@ -384,7 +373,7 @@ class Scenario:
 
     # -- execution -------------------------------------------------------------
 
-    def run(self, warm: Optional[Tuple[Any, ...]] = None) -> ResultSet:
+    def run(self, warm: Optional[WarmState] = None) -> ResultSet:
         """Run the scenario and return a typed columnar :class:`ResultSet`.
 
         The set holds one flow row per directed flow (delivered/offered
@@ -407,7 +396,7 @@ class Scenario:
         outcome = net.run(self.duration_s)
         return self._result_set(net, placement, outcome)
 
-    def _run_controlled(self, warm: Optional[Tuple[Any, ...]] = None) -> ResultSet:
+    def _run_controlled(self, warm: Optional[WarmState] = None) -> ResultSet:
         """Closed-loop run: step the env, let the controller act per epoch."""
         env = SimEnv(self, warm=warm)
         factory = CONTROLLERS.get(self.controller)

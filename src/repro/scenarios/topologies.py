@@ -92,7 +92,7 @@ def _node_id(index: int) -> str:
 
 def _clip_box(x: float, y: float, extent: float) -> Position:
     bound = 1.5 * extent
-    return (float(np.clip(x, -bound, bound)), float(np.clip(y, -bound, bound)))
+    return (float(min(max(x, -bound), bound)), float(min(max(y, -bound), bound)))
 
 
 def _pair_consecutive(order: List[str]) -> Tuple[Tuple[str, str], ...]:
@@ -243,7 +243,11 @@ def scale_free(
     flows_out: List[Tuple[str, str]] = []
     for index in range(n_hubs, n_nodes):
         weights = degrees[:index] / float(np.sum(degrees[:index]))
-        target = int(rng.choice(index, p=weights))
+        # ``rng.choice(index, p=weights)``'s own steps, without its per-call
+        # validation: the same uniform draw and the same target.
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        target = int(cdf.searchsorted(rng.random(), side="right"))
         tx, ty = positions[_node_id(target)]
         hop = float(rng.uniform(0.3, 1.0)) * attach_range_frac * extent
         phi = float(rng.uniform(0.0, 2.0 * np.pi))

@@ -7,12 +7,14 @@ radios.  It also owns all per-receiver bookkeeping; a
 
 Scaling model
 -------------
-Once the topology is complete the medium is *finalised*: the full N x N
-received-power matrix is computed in one vectorized pass through the
-:class:`~repro.propagation.channel.ChannelModel`.  Each sender's notification
-row -- the radios whose received power clears a detectability floor, the
-noise floor minus ``detectability_margin_db`` (about -110 dBm by default) --
-is built lazily on its first transmission.  Power below that floor can never
+Once the topology is complete the medium is *finalised*: it takes a
+:class:`LinkRows` table over the node set -- the coordinates plus the
+channel's condensed shadowing draws -- and computes nothing else.  A
+sender's received-power row is built on its first transmission, together
+with its notification row: the radios whose received power clears a
+detectability floor, the noise floor minus ``detectability_margin_db``
+(about -110 dBm by default).  Nodes that never transmit never get a row, so
+no N x N matrix exists on a cold run.  Power below that floor can never
 be locked onto; it only matters as summed background energy, so it is folded
 into one vectorized *active sub-floor power* array (a row add on frame start,
 a subtract on end) that CCA and SINR read as part of their noise term.
@@ -62,7 +64,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +76,7 @@ from .phy import ReceptionOutcome
 
 __all__ = [
     "Transmission",
+    "LinkRows",
     "Medium",
     "DEFAULT_DETECTABILITY_MARGIN_DB",
     "DEFAULT_MIN_DISTANCE_M",
@@ -130,6 +133,77 @@ def linear_threshold(threshold_db: Optional[float]) -> Tuple[float, float, float
     return linear, linear * (1.0 - _EXACT_BAND), linear * (1.0 + _EXACT_BAND)
 
 
+class LinkRows:
+    """Read-only received-power rows of one node set, each built on first use.
+
+    Holds the node coordinates and the channel's :class:`ShadowingTable`
+    over ``ids`` (drawn from ``channel`` here, exactly as a full matrix would
+    draw it).  :meth:`dbm` builds and caches sender ``i``'s row::
+
+        tx_power - loss_db(max(hypot(x_i - x, y_i - y), min_distance)) + shadowing_row_i
+
+    with ``-inf`` at ``i``, and :meth:`mw` its ``10 ** (dbm / 10)``: element
+    for element the full-matrix formula, so every value is bit-identical to
+    :meth:`matrix`.  One table may serve many media over the same node set
+    (the warm state of :mod:`repro.scenarios.execute`), which then share its
+    rows.
+    """
+
+    __slots__ = ("ids", "shadowing", "_x", "_y", "_tx_power_dbm", "_path_loss",
+                 "_min_distance_m", "_dbm", "_mw")
+
+    def __init__(
+        self,
+        channel: ChannelModel,
+        ids: Sequence[Hashable],
+        positions: Mapping[Hashable, Position],
+        min_distance_m: float = DEFAULT_MIN_DISTANCE_M,
+    ) -> None:
+        self.ids = tuple(ids)
+        coords = np.asarray([positions[node] for node in self.ids], dtype=float).reshape(-1, 2)
+        self._x = coords[:, 0].copy()
+        self._y = coords[:, 1].copy()
+        self.shadowing: Optional[ShadowingTable] = channel.shadowing_for(self.ids)
+        self._tx_power_dbm = channel.tx_power_dbm
+        self._path_loss = channel.path_loss
+        self._min_distance_m = min_distance_m
+        self._dbm: List[Optional[np.ndarray]] = [None] * len(self.ids)
+        self._mw: List[Optional[np.ndarray]] = [None] * len(self.ids)
+
+    @property
+    def rows_built(self) -> int:
+        """How many senders' rows exist so far."""
+        return sum(row is not None for row in self._dbm)
+
+    def dbm(self, i: int) -> np.ndarray:
+        """Received power (dBm) of node ``i``'s transmission at every node."""
+        row = self._dbm[i]
+        if row is None:
+            distances = np.hypot(self._x[i] - self._x, self._y[i] - self._y)
+            np.maximum(distances, self._min_distance_m, out=distances)
+            row = self._tx_power_dbm - np.asarray(self._path_loss.loss_db(distances))
+            if self.shadowing is not None:
+                row += self.shadowing.row(i)
+            row[i] = -np.inf
+            row.flags.writeable = False
+            self._dbm[i] = row
+        return row
+
+    def mw(self, i: int) -> np.ndarray:
+        """:meth:`dbm` in milliwatts (exactly 0 at ``i``)."""
+        row = self._mw[i]
+        if row is None:
+            row = np.power(10.0, self.dbm(i) / 10.0)
+            row.flags.writeable = False
+            self._mw[i] = row
+        return row
+
+    def matrix(self) -> np.ndarray:
+        """The full N x N dBm matrix: every row, built where still missing."""
+        n = len(self.ids)
+        return np.array([self.dbm(i) for i in range(n)]).reshape(n, n)
+
+
 @dataclass(slots=True)
 class Transmission:
     """One in-flight frame on the medium."""
@@ -167,8 +241,8 @@ class Medium:
     __slots__ = (
         # configuration and topology
         "sim", "channel", "min_distance_m", "detectability_margin_db", "active_transmissions",
-        "_positions", "_radios", "_index", "_rx_power_cache", "_primed_ids", "_primed_rx_dbm",
-        "_finalized", "_noise_floor_mw", "_rx_dbm_matrix", "_rx_mw_matrix",
+        "_positions", "_radios", "_index", "_rx_power_cache", "_rows", "_finalized",
+        "_noise_floor_mw",
         # per-sender tables
         "_notify", "_notify_mw", "_gather", "_subfloor_rows", "_subfloor_masks", "_row_built",
         # per-slot receiver state and reception constants
@@ -200,13 +274,11 @@ class Medium:
         self._index: Dict[Hashable, int] = {}
         self._rx_power_cache: Dict[Tuple[Hashable, Hashable], float] = {}
         self.active_transmissions: Dict[int, Transmission] = {}
-        # Optional precomputed rx-power matrix (see prime_rx_matrix).
-        self._primed_ids: Optional[Tuple[Hashable, ...]] = None
-        self._primed_rx_dbm: Optional[np.ndarray] = None
+        # The received-power rows: primed (see prime_rx_matrix) or built by
+        # finalize().
+        self._rows: Optional[LinkRows] = None
         self._noise_floor_mw = float(channel.noise_floor_mw)
         self._finalized = False
-        self._rx_dbm_matrix: Optional[np.ndarray] = None
-        self._rx_mw_matrix: Optional[np.ndarray] = None
         # Per-sender tables, built lazily by _sender_tables(): the notify row,
         # its powers in mW, its receiver slots as an index array, and the
         # sub-floor row and mask (None where every receiver is audible).
@@ -261,8 +333,6 @@ class Medium:
         ):
             column.append(initial)
         self._finalized = False
-        self._rx_dbm_matrix = None
-        self._rx_mw_matrix = None
 
     @property
     def node_ids(self) -> list:
@@ -300,82 +370,66 @@ class Medium:
         positions: Dict[Hashable, Position],
         min_distance_m: float = DEFAULT_MIN_DISTANCE_M,
     ) -> np.ndarray:
-        """The N x N received-power matrix (dBm) finalisation computes.
+        """The full N x N received-power matrix (dBm) of a fresh
+        :class:`LinkRows` table: :meth:`LinkRows.matrix`, drawing the
+        shadowing from ``channel`` exactly as finalisation would."""
+        return LinkRows(channel, ids, positions, min_distance_m).matrix()
 
-        Factored out so the warm-pool dispatch path (see
-        :mod:`repro.scenarios.execute`) can precompute the matrix once per
-        (topology, propagation) group and hand it to later networks through
-        :meth:`prime_rx_matrix` -- byte-for-byte the same computation either
-        way, including the shadowing draws consumed from ``channel``'s rng.
-        """
-        coords = np.asarray([positions[node_id] for node_id in ids], dtype=float)
-        dx = coords[:, 0][:, None] - coords[:, 0][None, :]
-        dy = coords[:, 1][:, None] - coords[:, 1][None, :]
-        distances = np.hypot(dx, dy)
-        np.maximum(distances, min_distance_m, out=distances)
-        rx_dbm = channel.rx_power_matrix(ids, distances)
-        np.fill_diagonal(rx_dbm, -np.inf)
-        return rx_dbm
+    def prime_rx_matrix(self, rows: LinkRows) -> None:
+        """Provide the received-power rows for the coming finalisation.
 
-    def prime_rx_matrix(
-        self,
-        ids: List[Hashable],
-        rx_dbm: np.ndarray,
-        shadowing: Optional[ShadowingTable] = None,
-    ) -> None:
-        """Provide a precomputed rx-power matrix for the coming finalisation.
-
-        ``ids`` must list every registered node in registration order by the
-        time :meth:`finalize` runs, and ``rx_dbm`` must be the matrix
-        :meth:`compute_rx_dbm_matrix` would produce for this medium's channel
-        (same channel config and rng seed).  ``shadowing`` is the
-        :class:`~repro.propagation.channel.ShadowingTable` that computation
-        drew; the channel adopts it (shared, read-only), so later per-pair
-        queries (``rx_power_dbm`` before finalisation, oracle SNRs, link
-        budgets) agree with the primed matrix instead of lazily re-drawing
+        ``rows`` must be a :class:`LinkRows` built with the same channel
+        config and rng seed over every node this medium will hold, in
+        registration order; the same table may prime many media.  The
+        channel adopts its :class:`~repro.propagation.channel.ShadowingTable`
+        (shared, read-only), so per-pair queries before finalisation (oracle
+        SNRs, link budgets) agree with the rows instead of lazily drawing
         different values.
 
         Priming is only sound while the channel holds no shadowing yet: if
-        pairs were already drawn or pinned, the primed state is discarded and
-        finalisation computes everything itself.  The caller must not pin
-        shadowing values between priming and finalisation.
+        pairs were already drawn or pinned, the rows are not used and
+        finalisation builds its own.  Pinning a different value after
+        priming makes :meth:`finalize` raise ``ValueError``.
         """
         if self.channel.holds_shadowing:
-            # The channel already has draws/pins the primed matrix cannot
+            # The channel already has draws/pins the primed rows cannot
             # account for; refuse the shortcut rather than risk divergence.
-            self._primed_ids = None
-            self._primed_rx_dbm = None
+            self._rows = None
             return
-        self._primed_ids = tuple(ids)
-        self._primed_rx_dbm = np.asarray(rx_dbm, dtype=float)
-        if shadowing is not None:
-            self.channel.load_shadowing_table(shadowing)
-
-    def _primed_matrix_for(self, ids: List[Hashable]) -> Optional[np.ndarray]:
-        if self._primed_rx_dbm is None:
-            return None
-        if self._primed_ids != tuple(ids):
-            return None
-        if self._primed_rx_dbm.shape != (len(ids), len(ids)):
-            return None
-        # Copy: the primed matrix may be shared by many media (warm cache).
-        return self._primed_rx_dbm.copy()
+        self._rows = rows
+        if rows.shadowing is not None:
+            self.channel.load_shadowing_table(rows.shadowing)
 
     def finalize(self) -> None:
-        """Freeze the topology: batch-compute the rx-power matrices.
+        """Freeze the topology: settle the received-power rows.
 
         Called automatically by the first :meth:`start_transmission`; safe to
         call again (a no-op once finalised, re-run after new registrations,
         which can only happen while no frame is in flight).
 
-        Finalisation does only the vectorized work (the N x N dBm and
-        milliwatt matrices) and reads each radio's reception constants; the
-        per-sender notification and sub-floor tables are built lazily by
+        Finalisation takes the primed :class:`LinkRows` when they cover
+        exactly the registered nodes, or else a fresh table from the channel,
+        and reads each radio's reception constants; every row, and the
+        per-sender notification and sub-floor tables, is built lazily by
         :meth:`_sender_tables` on a sender's first transmission.
+
+        Raises ``ValueError`` when the channel pinned a pair to a value the
+        primed rows do not hold (a pin made after priming).
         """
         if self._finalized:
             return
-        ids = list(self._radios)
+        ids = tuple(self._radios)
+        rows = self._rows
+        if rows is not None and rows.ids == ids:
+            overridden = self.channel.overridden_pairs(ids, rows.shadowing)
+            if overridden:
+                raise ValueError(
+                    f"shadowing of {overridden[0]!r} was pinned after the medium was "
+                    "primed: pin before priming, or build the network cold"
+                )
+        else:
+            rows = LinkRows(self.channel, ids, self._positions, self.min_distance_m)
+        self._rows = rows
         n = len(ids)
         radios = self._slot_radios
         preamble = [linear_threshold(r.reception.preamble_snr_threshold_db) for r in radios]
@@ -395,28 +449,27 @@ class Medium:
         self._subfloor_rows = [None] * n
         self._subfloor_masks = [None] * n
         self._row_built = [False] * n
-
-        rx_dbm = self._primed_matrix_for(ids) if n else np.zeros((0, 0))
-        if rx_dbm is None:
-            rx_dbm = self.compute_rx_dbm_matrix(
-                self.channel, ids, self._positions, self.min_distance_m
-            )
-        self._rx_dbm_matrix = rx_dbm
-        self._rx_mw_matrix = np.power(10.0, rx_dbm / 10.0)  # diagonal decays to exactly 0
         self._finalized = True
+
+    @property
+    def link_rows(self) -> Optional[LinkRows]:
+        """The received-power rows finalisation settled on (``None`` before)."""
+        return self._rows if self._finalized else None
 
     def _sender_tables(self, slot: int) -> List[tuple]:
         """The notify row of one sender slot, built (with the sender's other
         tables) on first use.
 
-        The audible set comes from the dBm matrix against the detectability
-        floor; per-link dBm goes through :func:`linear_to_db` of the milliwatt
-        row (a round trip through linear milliwatts, deliberately NOT the dBm
-        matrix, whose floats differ in the last ulp).  Both conversions run
-        over the audible entries only.
+        The audible set comes from the sender's dBm row against the
+        detectability floor; per-link dBm goes through :func:`linear_to_db`
+        of the milliwatt row (a round trip through linear milliwatts,
+        deliberately NOT the dBm row, whose floats differ in the last ulp).
+        Both conversions run over the audible entries only.
         """
         if not self._row_built[slot]:
-            rx_dbm_row = self._rx_dbm_matrix[slot]
+            rows = self._rows
+            rx_dbm_row = rows.dbm(slot)
+            rx_mw_row = rows.mw(slot)
             floor = self.detectability_floor_dbm
             if floor is None:
                 audible = np.ones(len(rx_dbm_row), dtype=bool)
@@ -426,12 +479,12 @@ class Medium:
             below = ~audible
             below[slot] = False
             if below.any():
-                self._subfloor_rows[slot] = np.where(below, self._rx_mw_matrix[slot], 0.0)
+                self._subfloor_rows[slot] = np.where(below, rx_mw_row, 0.0)
                 self._subfloor_masks[slot] = below
                 if not self._subfloor_live:
                     self._go_live()
             gather = np.flatnonzero(audible)
-            row_mw_array = self._rx_mw_matrix[slot, gather]
+            row_mw_array = rx_mw_row[gather]
             row_mw = row_mw_array.tolist()
             radios = self._slot_radios
             self._notify[slot] = [
@@ -551,7 +604,7 @@ class Medium:
     def rx_power_dbm(self, src: Hashable, dst: Hashable) -> float:
         """Static received power (dBm) from ``src`` at ``dst`` (cached)."""
         if self._finalized:
-            return float(self._rx_dbm_matrix[self._index[src], self._index[dst]])
+            return float(self._rows.dbm(self._index[src])[self._index[dst]])
         key = (src, dst)
         if key not in self._rx_power_cache:
             budget = self.channel.link_budget(src, dst, self.distance(src, dst))
@@ -561,7 +614,7 @@ class Medium:
     def rx_power_mw(self, src: Hashable, dst: Hashable) -> float:
         """Static received power (milliwatts) from ``src`` at ``dst``."""
         if self._finalized:
-            return float(self._rx_mw_matrix[self._index[src], self._index[dst]])
+            return float(self._rows.mw(self._index[src])[self._index[dst]])
         return float(10.0 ** (self.rx_power_dbm(src, dst) / 10.0))
 
     def snr_db(self, src: Hashable, dst: Hashable) -> float:

@@ -16,9 +16,10 @@ import pytest
 
 from repro.capacity.rates import rate_by_mbps
 from repro.networking import ForwardingQueue, RouteTable
+from repro.propagation.channel import ShadowingTable
 from repro.scenarios import Scenario, TOPOLOGIES
 from repro.simulation.frames import BROADCAST, FlowTag, Frame, FrameKind
-from repro.simulation.medium import Medium
+from repro.simulation.medium import LinkRows
 from repro.simulation.stats import NodeStats
 
 
@@ -199,15 +200,21 @@ class TestMultiHopScenario:
         assert multihop_line(seed=7).run().to_bytes() == multihop_line(seed=7).run().to_bytes()
 
     def test_routed_cold_build_computes_the_rx_matrix_once(self, monkeypatch):
-        """Route table and medium share one matrix; the bytes do not move."""
-        calls = []
-        compute = Medium.compute_rx_dbm_matrix
+        """Route table and medium share one row table, each row built once;
+        the bytes do not move."""
+        calls, rows = [], []
+        build, shadowing_row = LinkRows.__init__, ShadowingTable.row
 
-        def counting(*args, **kwargs):
-            calls.append(len(args[1]))
-            return compute(*args, **kwargs)
+        def counting_build(self, channel, ids, *args, **kwargs):
+            calls.append(len(ids))
+            build(self, channel, ids, *args, **kwargs)
 
-        monkeypatch.setattr(Medium, "compute_rx_dbm_matrix", staticmethod(counting))
+        def counting_row(self, i):
+            rows.append(i)  # one shadowing row per received-power row built
+            return shadowing_row(self, i)
+
+        monkeypatch.setattr(LinkRows, "__init__", counting_build)
+        monkeypatch.setattr(ShadowingTable, "row", counting_row)
         result = Scenario(
             name="routed",
             topology="scale_free",
@@ -220,6 +227,7 @@ class TestMultiHopScenario:
             topology_params={"flows": "to_root"},
         ).run()
         assert calls == [40]
+        assert sorted(rows) == list(range(40))  # the route matrix built them all
         assert sorted(set(result.hops.tolist())) == [1, 2]
         # Captured before the route table and the medium shared the matrix.
         assert hashlib.sha256(result.to_bytes()).hexdigest() == (

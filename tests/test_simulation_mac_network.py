@@ -294,7 +294,7 @@ class TestDefaultChannel:
     def test_same_seed_gives_identical_rx_matrix_and_results(self):
         first, second = self.build(5), self.build(5)
         a, b = first.run(0.2), second.run(0.2)
-        assert np.array_equal(first.medium._rx_dbm_matrix, second.medium._rx_dbm_matrix)
+        assert np.array_equal(first.medium.link_rows.matrix(), second.medium.link_rows.matrix())
         assert a.events_processed == b.events_processed
         for src, dst in (("S1", "R1"), ("S2", "R2")):
             assert a.packets_delivered(src, dst) == b.packets_delivered(src, dst)

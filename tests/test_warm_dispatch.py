@@ -49,16 +49,19 @@ class TestWarmState:
 
     def test_warm_state_matches_finalisation(self):
         scenario = _scenario()
-        placement, rx_dbm, shadowing = scenario.compute_warm_state()
+        placement, rows = scenario.compute_warm_state()
         net, _ = scenario.build_network()
         net.medium.finalize()
-        assert np.array_equal(rx_dbm, net.medium._rx_dbm_matrix)
         ids = list(placement.positions)
-        assert ids == net.medium.node_ids
+        assert ids == net.medium.node_ids == list(rows.ids)
+        # Every warm row holds exactly the powers the cold medium answers.
+        for i, src in enumerate(ids):
+            assert [net.medium.rx_power_dbm(src, dst) for dst in ids] == rows.dbm(i).tolist()
+            assert [net.medium.rx_power_mw(src, dst) for dst in ids] == rows.mw(i).tolist()
         # The warm shadowing is exactly what the cold channel drew: a fresh
         # channel that adopts it answers every pair like the cold one.
         adopted = scenario.channel()
-        adopted.load_shadowing_table(shadowing)
+        adopted.load_shadowing_table(rows.shadowing)
         _assert_same_shadowing(adopted, net.medium.channel, ids)
 
     def test_warm_network_answers_per_pair_queries_like_cold(self):
@@ -86,15 +89,41 @@ class TestWarmState:
 
     def test_prime_refuses_a_channel_holding_shadowing(self):
         scenario = _scenario()
-        placement, rx_dbm, shadowing = scenario.compute_warm_state()
+        placement, rows = scenario.compute_warm_state()
         ids = list(placement.positions)
         net, _ = scenario.build_network()
         net.medium.channel.set_shadowing_db(ids[0], ids[1], 3.0)
-        net.medium.prime_rx_matrix(ids, rx_dbm, shadowing)
+        net.medium.prime_rx_matrix(rows)
         assert net.medium.channel.shadowing_table is None
         net.medium.finalize()
+        assert net.medium.link_rows is not rows
         assert net.medium.channel.shadowing_db(ids[1], ids[0]) == 3.0
-        assert net.medium._rx_dbm_matrix[0, 1] != rx_dbm[0, 1]
+        assert net.medium.rx_power_dbm(ids[0], ids[1]) != rows.dbm(0)[1]
+
+    def test_pin_after_priming_fails_loudly(self):
+        """A pin the primed rows cannot hold must not be silently ignored."""
+        scenario = _scenario()
+        net, placement = scenario.build_network(warm=scenario.compute_warm_state())
+        ids = list(placement.positions)
+        net.medium.channel.set_shadowing_db(ids[0], ids[1], 30.0)
+        with pytest.raises(ValueError, match="pinned after the medium was primed"):
+            net.medium.finalize()
+
+    def test_zero_sigma_queries_before_finalising_a_primed_medium_are_fine(self):
+        """At 0 dB sigma a per-pair query stores its 0 dB value: that agrees
+        with the rows, so finalisation goes ahead; a real pin does not."""
+        scenario = _scenario(sigma_db=0.0)
+        warm = scenario.compute_warm_state()
+        net, placement = scenario.build_network(warm=warm)
+        ids = list(placement.positions)
+        snr = net.link_snr_db(ids[0], ids[1])
+        net.medium.finalize()
+        assert net.medium.link_rows is warm[1]
+        assert net.link_snr_db(ids[0], ids[1]) == pytest.approx(snr, abs=1e-9)
+        pinned, _ = scenario.build_network(warm=warm)
+        pinned.medium.channel.set_shadowing_db(ids[0], ids[1], 30.0)
+        with pytest.raises(ValueError):
+            pinned.medium.finalize()
 
     def test_warm_run_is_bit_identical_to_cold(self):
         scenario = _scenario()
@@ -113,14 +142,34 @@ class TestWarmState:
 
     def test_stale_prime_falls_back_to_fresh_computation(self):
         scenario = _scenario()
-        # A bare (placement, matrix) pair is the documented compat form.
-        placement, rx_dbm, _shadowing = scenario.compute_warm_state()
-        net, _ = scenario.build_network(warm=(placement, rx_dbm))
-        # Poison the primed state with the wrong ids: finalisation must
-        # recompute rather than use a mismatched matrix.
-        net.medium._primed_ids = ("bogus",)
-        net.medium.finalize()
-        assert np.array_equal(net.medium._rx_dbm_matrix, rx_dbm)
+        placement, rows = scenario.compute_warm_state()
+        net, _ = scenario.build_network(warm=(placement, rows))
+        # A node registered after priming: the rows no longer cover the
+        # medium, so finalisation must recompute rather than use them.
+        net.add_node("late", (10.0, 10.0))
+        medium = net.medium
+        medium.finalize()
+        assert medium.link_rows is not rows
+        assert medium.link_rows.ids == rows.ids + ("late",)
+        # The recomputation keeps every known value and draws only the
+        # late node's pairs.
+        ids = list(placement.positions)
+        for i, src in enumerate(ids):
+            assert [medium.rx_power_dbm(src, dst) for dst in ids] == rows.dbm(i).tolist()
+            late = medium.channel.rx_power_dbm(src, "late", medium.distance(src, "late"))
+            assert medium.rx_power_dbm(src, "late") == pytest.approx(late, abs=1e-9)
+
+    def test_warm_cells_share_rows(self):
+        """Cells of one group reuse the rows the first cell built."""
+        scenario = _scenario()
+        warm = scenario.compute_warm_state()
+        assert warm[1].rows_built == 0
+        first = scenario.run(warm=warm)
+        built = warm[1].rows_built
+        assert 0 < built <= scenario.n_nodes
+        assert scenario.with_overrides(cca_noise_db=0.0).run(warm=warm) != first
+        assert warm[1].rows_built == built
+        assert scenario.run(warm=warm) == first
 
 
 #: Worker-importable task helper (spawn-safe; see repro/runner/_testing.py).
