@@ -20,8 +20,8 @@ holds only plugins::
 An :class:`Artifact` is the typed output model: named **tables** (JSON-able
 mappings/lists), named **series** (curve/scatter payloads, summarised rather
 than dumped when printing), attached :class:`~repro.results.ResultSet`\\ s
-(persisted as compressed ``.npz`` sidecars, the same columnar encoding the
-result cache uses), free-form **notes**, and a JSON **manifest** tying it
+(persisted as compressed ``.npz`` sidecars, the :meth:`ResultSet.save`
+form), free-form **notes**, and a JSON **manifest** tying it
 together.  ``save``/``load`` round-trip an artifact through a directory, so
 experiment outputs become cacheable, diffable files instead of transient
 dicts.

@@ -13,12 +13,20 @@ concatenates.  Flow columns are attributes (``rs.delivered_pps``) or
 (``rs.scenarios[0]["total_pps"]``); :meth:`to_flow_records` gives the
 row-oriented JSON-able form.
 
-On disk a ResultSet is one compressed ``.npz`` (columns + a JSON manifest
-embedded as UTF-8 bytes) -- see :meth:`save` / :meth:`load` and the
-:class:`repro.runner.cache.ResultCache` integration, which stores scenario
-results in this binary form with a JSON manifest entry next to it.  Columnar
-storage is what shrinks both cache files and worker->parent pipe traffic on
-large sweeps (the arrays pickle as flat buffers).
+A ResultSet has two binary forms:
+
+* :meth:`pack` / :meth:`unpack`: one zlib-compressed buffer of a JSON header
+  (:meth:`manifest` plus the node-name dtype) and the raw column bytes.  The
+  :class:`repro.runner.cache.ResultCache` stores scenario results this way,
+  with a JSON manifest entry next to the sidecar; a hit is one decompress
+  and one JSON parse.
+* :meth:`save` / :meth:`load` and :meth:`to_bytes` / :meth:`from_bytes`: a
+  compressed ``.npz`` of the columns with the manifest embedded as UTF-8
+  bytes.  Experiment artifacts use it, and result digests hash
+  :meth:`to_bytes`.
+
+Columnar storage is what shrinks both cache files and worker->parent pipe
+traffic on large sweeps (the arrays pickle as flat buffers).
 
 Operations (:meth:`concat`, :meth:`filter`, :meth:`group_by`,
 :meth:`scenario_column`) are vectorized over the columns, so sweep-level
@@ -30,6 +38,9 @@ from __future__ import annotations
 
 import io
 import json
+import re
+import struct
+import zlib
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -58,14 +69,17 @@ _INT_COLUMNS = (
 #: Public flow-column names, including the decoded string columns.
 FLOW_COLUMNS = ("src", "dst", "scenario_idx") + _FLOAT_COLUMNS + _INT_COLUMNS
 
+#: Every stored array column and its dtype, in manifest (and packed body) order.
+_COLUMN_DTYPES: Dict[str, str] = {
+    "src_code": "int32", "dst_code": "int32", "scenario_idx": "int32",
+    **{name: "float64" for name in _FLOAT_COLUMNS},
+    **{name: "int64" for name in _INT_COLUMNS},
+}
 
-def _empty_columns(n: int) -> Dict[str, np.ndarray]:
-    columns: Dict[str, np.ndarray] = {}
-    for name in _FLOAT_COLUMNS:
-        columns[name] = np.full(n, np.nan, dtype=np.float64)
-    for name in _INT_COLUMNS:
-        columns[name] = np.full(n, -1, dtype=np.int64)
-    return columns
+#: The byte-order-explicit form of each column dtype in the packed body.
+_PACKED_DTYPES = {"int32": np.dtype("<i4"), "float64": np.dtype("<f8"), "int64": np.dtype("<i8")}
+
+_HEADER_LENGTH = struct.Struct("<I")
 
 
 class ResultSet:
@@ -100,22 +114,29 @@ class ResultSet:
         self.scenario_idx = np.asarray(scenario_idx, dtype=np.int32)
         self.scenarios = list(scenarios)
         n = len(self.src_code)
-        defaults = _empty_columns(n)
         for name in _FLOAT_COLUMNS:
             value = columns.pop(name, None)
-            array = defaults[name] if value is None else np.asarray(value, dtype=np.float64)
-            setattr(self, name, array)
+            setattr(self, name, np.full(n, np.nan) if value is None
+                    else np.asarray(value, dtype=np.float64))
         for name in _INT_COLUMNS:
             value = columns.pop(name, None)
-            array = defaults[name] if value is None else np.asarray(value, dtype=np.int64)
-            setattr(self, name, array)
+            setattr(self, name, np.full(n, -1, dtype=np.int64) if value is None
+                    else np.asarray(value, dtype=np.int64))
         if columns:
             raise TypeError(f"unknown flow columns: {sorted(columns)}")
         for name in ("dst_code", "scenario_idx", *_FLOAT_COLUMNS, *_INT_COLUMNS):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"column {name!r} has {len(getattr(self, name))} rows, expected {n}")
-        if n and self.scenario_idx.max(initial=-1) >= len(self.scenarios):
-            raise ValueError("scenario_idx points past the scenario index")
+        if n:
+            # Viewed as uint32, a negative int32 code is >= 2**31, so one max()
+            # per column checks both ends of the range.
+            for name, bound, what in (
+                ("src_code", len(self.node_names), "node names"),
+                ("dst_code", len(self.node_names), "node names"),
+                ("scenario_idx", len(self.scenarios), "scenarios"),
+            ):
+                if int(getattr(self, name).view(np.uint32).max()) >= bound:
+                    raise ValueError(f"{name} holds a value outside [0, {bound}) ({bound} {what})")
 
     # -- basic shape -----------------------------------------------------------
 
@@ -376,11 +397,8 @@ class ResultSet:
             "schema": SCHEMA_VERSION,
             "n_flows": self.n_flows,
             "n_scenarios": self.n_scenarios,
-            "columns": {
-                name: str(getattr(self, name).dtype)
-                for name in ("src_code", "dst_code", "scenario_idx")
-                + _FLOAT_COLUMNS + _INT_COLUMNS
-            },
+            # The constructor casts every column to its dtype in this table.
+            "columns": dict(_COLUMN_DTYPES),
             "scenarios": self.scenarios,
         }
 
@@ -432,3 +450,92 @@ class ResultSet:
     def from_bytes(cls, payload: bytes) -> "ResultSet":
         with np.load(io.BytesIO(payload)) as data:
             return cls._from_npz(data)
+
+    def pack(self) -> bytes:
+        """The result cache's encoding: one zlib-compressed buffer.
+
+        Before compression it is a 4-byte little-endian header length, a
+        JSON header (:meth:`manifest` plus the ``node_names`` dtype and
+        count), then the raw little-endian bytes of ``node_names`` and of
+        each column, in the header's ``columns`` order.  :meth:`unpack` reads
+        it back with one decompress and one JSON parse.  :meth:`to_bytes` is
+        the ``.npz`` form that digests and artifacts use.
+        """
+        if self.node_names.dtype.kind != "U":
+            raise ValueError(f"node names must be strings to pack, not {self.node_names.dtype}")
+        names = self.node_names.astype(self.node_names.dtype.newbyteorder("<"), copy=False)
+        header = self.manifest()
+        header["node_names"] = {"dtype": names.dtype.str, "n": len(names)}
+        head = json.dumps(header).encode("utf-8")
+        chunks = [_HEADER_LENGTH.pack(len(head)), head, names.tobytes()]
+        for name, dtype in _COLUMN_DTYPES.items():
+            chunks.append(getattr(self, name).astype(_PACKED_DTYPES[dtype], copy=False).tobytes())
+        return zlib.compress(b"".join(chunks))
+
+    @classmethod
+    def unpack(cls, blob: bytes) -> "ResultSet":
+        """Decode :meth:`pack` output; a malformed buffer raises ``ValueError``.
+
+        Only the dtypes :meth:`pack` writes are accepted, so no object array
+        is ever built, and the body must hold exactly the declared columns.
+        Each column is copied out of the buffer, so it owns its memory and is
+        writeable, as ``np.load``'s arrays are.  Columns missing from the
+        header fall back to their sentinels, as in :meth:`_from_npz`.
+        """
+        inflate = zlib.decompressobj()
+        try:
+            raw = inflate.decompress(blob)
+        except zlib.error as exc:
+            raise ValueError(f"packed ResultSet does not decompress: {exc}") from None
+        if not inflate.eof or inflate.unused_data:
+            raise ValueError("packed ResultSet is truncated or has trailing bytes")
+        if len(raw) < _HEADER_LENGTH.size:
+            raise ValueError("packed ResultSet has no header")
+        (head_len,) = _HEADER_LENGTH.unpack_from(raw)
+        start = _HEADER_LENGTH.size + head_len
+        header = json.loads(raw[_HEADER_LENGTH.size:start])
+        layout = _packed_layout(header)
+        size = sum(dtype.itemsize * count for _, dtype, count in layout)
+        if len(raw) - start != size:
+            raise ValueError(
+                f"packed ResultSet body has {len(raw) - start} bytes, its header declares {size}"
+            )
+        arrays: Dict[str, np.ndarray] = {}
+        offset = start
+        for name, dtype, count in layout:
+            arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).copy()
+            offset += dtype.itemsize * count
+        return cls(scenarios=header["scenarios"], **arrays)
+
+
+def _count(value: Any, what: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"packed ResultSet header: {what} is {value!r}, not a count")
+    return value
+
+
+def _packed_layout(header: Any) -> List[Tuple[str, np.dtype, int]]:
+    """The (name, dtype, count) of each array in a packed body, validated."""
+    if not isinstance(header, dict) or header.get("schema") != SCHEMA_VERSION:
+        schema = header.get("schema") if isinstance(header, dict) else None
+        raise ValueError(f"unsupported ResultSet schema {schema!r}")
+    names, columns, scenarios = (header.get(key) for key in ("node_names", "columns", "scenarios"))
+    if not (isinstance(names, dict) and isinstance(columns, dict) and isinstance(scenarios, list)
+            and all(isinstance(entry, dict) for entry in scenarios)):
+        raise ValueError("packed ResultSet header lacks node_names, columns or scenarios")
+    if len(scenarios) != _count(header.get("n_scenarios"), "n_scenarios"):
+        raise ValueError("packed ResultSet header: n_scenarios does not match its scenarios")
+    names_dtype = names.get("dtype")
+    if not (isinstance(names_dtype, str) and re.fullmatch(r"<U[1-9][0-9]*", names_dtype)):
+        raise ValueError(f"packed ResultSet node names have dtype {names_dtype!r}, not <U")
+    missing = {"src_code", "dst_code", "scenario_idx"} - columns.keys()
+    if missing:
+        raise ValueError(f"packed ResultSet lacks columns {sorted(missing)}")
+    n_flows = _count(header.get("n_flows"), "n_flows")
+    layout = [("node_names", np.dtype(names_dtype), _count(names.get("n"), "node_names.n"))]
+    for name, dtype in columns.items():
+        if _COLUMN_DTYPES.get(name) != dtype:
+            raise ValueError(f"packed ResultSet column {name!r} has dtype {dtype!r}, "
+                             f"expected {_COLUMN_DTYPES.get(name)!r}")
+        layout.append((name, _PACKED_DTYPES[dtype], n_flows))
+    return layout

@@ -11,10 +11,18 @@ Two result encodings share the store:
 * plain JSON-able results (non-columnar tasks) live inline in the ``.json``
   entry;
 * :class:`repro.results.ResultSet` results are written as a compact binary
-  sidecar (``<hash>.npz``: compressed columns + embedded manifest) with the
-  ``.json`` entry reduced to a JSON manifest pointing at it.  This is what
-  keeps cache directories small on large sweeps -- flow tables compress far
-  better as typed columns than as per-flow dict text.
+  sidecar (``<hash>.bin``: one zlib-compressed buffer of a JSON header and
+  the raw columns, see :meth:`~repro.results.ResultSet.pack`) with the
+  ``.json`` entry reduced to a JSON manifest pointing at it.  Flow tables
+  compress far better as typed columns than as per-flow dict text, and a
+  hit costs one file read, one decompress and one JSON parse.
+
+The manifest records the sidecar's ``format``.  ``"packed/1"`` is what
+:meth:`ResultCache.put` writes; ``"npz/1"`` entries (a ``<hash>.npz``
+sidecar, :meth:`~repro.results.ResultSet.save` form) written by older
+versions still load, so existing caches keep hitting.  A sidecar that is
+missing, corrupt or of an unknown format evicts the entry, and the task
+re-executes.
 
 A scenario entry written before the columnar format (an inline dict) is
 returned as stored; :meth:`repro.results.ResultSet.concat` rejects it with a
@@ -37,6 +45,11 @@ __all__ = ["config_hash", "ResultCache"]
 
 #: Marker key identifying a JSON entry whose result lives in a binary sidecar.
 RESULTSET_MARKER = "__repro_resultset__"
+
+#: The sidecar format :meth:`ResultCache.put` writes.
+PACKED_FORMAT = "packed/1"
+#: The older ``.npz`` sidecar format, still read.
+NPZ_FORMAT = "npz/1"
 
 
 def _canonical(obj: Any) -> Any:
@@ -79,11 +92,14 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.json"
 
     def _binary_path(self, key: str) -> Path:
+        return self.root / key[:2] / f"{key}.bin"
+
+    def _npz_path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.npz"
 
     def _evict(self, key: str) -> None:
-        """Drop both files of a corrupt entry so the next ``put`` rewrites it."""
-        for path in (self._path(key), self._binary_path(key)):
+        """Drop every file of a corrupt entry so the next ``put`` rewrites it."""
+        for path in (self._path(key), self._binary_path(key), self._npz_path(key)):
             try:
                 path.unlink()
             except FileNotFoundError:
@@ -113,10 +129,10 @@ class ResultCache:
         marker = entry.get("result")
         if isinstance(marker, dict) and RESULTSET_MARKER in marker:
             try:
-                entry["result"] = ResultSet.load(self._binary_path(key))
+                entry["result"] = self._load_sidecar(key, marker[RESULTSET_MARKER])
             except Exception:  # noqa: BLE001 -- any unreadable sidecar poisons the key
-                # Missing, truncated, or corrupt sidecar (np.load raises a
-                # zoo: OSError, ValueError, KeyError, EOFError,
+                # Missing, truncated, or corrupt sidecar (OSError, ValueError
+                # from ``unpack``; np.load raises a zoo: KeyError, EOFError,
                 # zipfile.BadZipFile, ...): the entry is unusable as a
                 # whole, and anything short of eviction would poison every
                 # future run of the sweep.
@@ -125,6 +141,16 @@ class ResultCache:
                 return None
         self.hits += 1
         return entry
+
+    def _load_sidecar(self, key: str, marker: Any) -> ResultSet:
+        """The ResultSet in ``key``'s sidecar, read as its manifest says."""
+        fmt = marker.get("format") if isinstance(marker, dict) else None
+        if fmt == PACKED_FORMAT:
+            with open(self._binary_path(key), "rb") as handle:
+                return ResultSet.unpack(handle.read())
+        if fmt == NPZ_FORMAT:
+            return ResultSet.load(self._npz_path(key))
+        raise ValueError(f"unknown ResultSet sidecar format {fmt!r}")
 
     def get_result(self, key: str) -> Optional[Any]:
         entry = self.get(key)
@@ -142,10 +168,10 @@ class ResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         stored: Any = result
         if isinstance(result, ResultSet):
-            self._write_atomic(self._binary_path(key), result.to_bytes())
+            self._write_atomic(self._binary_path(key), result.pack())
             stored = {
                 RESULTSET_MARKER: {
-                    "format": "npz/1",
+                    "format": PACKED_FORMAT,
                     "file": self._binary_path(key).name,
                     "n_flows": result.n_flows,
                     "n_scenarios": result.n_scenarios,

@@ -10,8 +10,9 @@ and hash stably for the result cache.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -508,13 +509,17 @@ class Scenario:
         exactly the key it had before those fields existed, so result caches
         written by older versions keep hitting.
         """
-        config = asdict(self)
-        config["topology_params"] = dict(self.topology_params)
+        # Only the param dicts can hold nested mutables, so only they are
+        # deep-copied: every cache replay builds this once per task key.
+        config = {name: getattr(self, name) for name in _FIELD_NAMES}
+        config["topology_params"] = (
+            copy.deepcopy(dict(self.topology_params)) if self.topology_params else {}
+        )
         for optional in ("traffic_params", "mac_params", "routing_params", "controller_params"):
             if not config[optional]:
                 del config[optional]
             else:
-                config[optional] = dict(config[optional])
+                config[optional] = copy.deepcopy(dict(config[optional]))
         # Same cache-key compatibility rule for the networking fields: a
         # scenario without a routing layer hashes exactly as it always did,
         # and likewise an uncontrolled scenario hashes without the
@@ -531,3 +536,6 @@ class Scenario:
     def with_overrides(self, **overrides: Any) -> "Scenario":
         """A copy of the spec with the given fields replaced."""
         return replace(self, **overrides)
+
+
+_FIELD_NAMES = tuple(spec_field.name for spec_field in fields(Scenario))

@@ -9,9 +9,12 @@ a cache entry written before the columnar format is rejected with a
 from __future__ import annotations
 
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.results import FLOW_COLUMNS, ResultSet
 from repro.runner import BatchRunner, ResultCache
@@ -99,6 +102,38 @@ class TestRoundTripFidelity:
         assert decoded["scenarios"][0]["topology"] == "exposed_terminal"
 
 
+class TestConstructionRejectsOutOfRangeCodes:
+    """Codes and scenario indices are checked when the ResultSet is built,
+    not when a later decode or split trips over them."""
+
+    @staticmethod
+    def build(src=(0, 1), dst=(1, 0), idx=(0, 0)):
+        return ResultSet(node_names=np.asarray(["a", "b"]), src_code=src, dst_code=dst,
+                         scenario_idx=idx, scenarios=[{"name": "s"}])
+
+    def test_in_range_codes_accepted(self):
+        assert self.build().n_flows == 2
+
+    def test_negative_scenario_idx_rejected(self):
+        # Used to be accepted, and split() then silently dropped the row.
+        with pytest.raises(ValueError, match=r"scenario_idx .* \[0, 1\)"):
+            self.build(idx=(-1, 0))
+
+    def test_scenario_idx_past_the_index_rejected(self):
+        with pytest.raises(ValueError, match="scenario_idx"):
+            self.build(idx=(0, 1))
+
+    def test_negative_dst_code_rejected(self):
+        # Used to decode to the last node name.
+        with pytest.raises(ValueError, match=r"dst_code .* \[0, 2\)"):
+            self.build(dst=(1, -1))
+
+    def test_src_code_past_the_names_rejected(self):
+        # Used to fail only later, inside ``.src``, with IndexError.
+        with pytest.raises(ValueError, match=r"src_code .* \[0, 2\)"):
+            self.build(src=(5, 0))
+
+
 class TestCombinators:
     def test_concat_remaps_codes_and_offsets_scenarios(self):
         parts = [s.run() for s in ALL_TOPOLOGY_SCENARIOS[:3]]
@@ -161,6 +196,128 @@ class TestCombinators:
         assert set(FLOW_COLUMNS) >= {"src", "dst", "delivered_pps", "delay_s"}
 
 
+def repack(blob, header=None, body=None):
+    """Re-encode a packed ResultSet after editing its JSON header or its body."""
+    raw = zlib.decompress(blob)
+    (length,) = struct.unpack_from("<I", raw)
+    decoded = json.loads(raw[4:4 + length])
+    rest = raw[4 + length:]
+    if header is not None:
+        header(decoded)
+    if body is not None:
+        rest = body(rest)
+    head = json.dumps(decoded).encode("utf-8")
+    return zlib.compress(struct.pack("<I", len(head)) + head + rest)
+
+
+def write_npz_entry(cache, task, result):
+    """Store ``result`` as the ``npz/1`` cache format did: ``.npz`` + manifest."""
+    path = cache._path(task.cache_key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    result.save(cache._npz_path(task.cache_key))
+    marker = {"format": "npz/1", "file": cache._npz_path(task.cache_key).name,
+              "n_flows": result.n_flows, "n_scenarios": result.n_scenarios}
+    path.write_text(json.dumps({"key": task.cache_key, "config": task.config,
+                                "result": {"__repro_resultset__": marker}}))
+
+
+#: Ways to break a packed ResultSet; each must make ``unpack`` raise ValueError.
+BROKEN_PACKINGS = {
+    "garbage": lambda blob: b"\x00not an npz",
+    "truncated": lambda blob: blob[: len(blob) // 2],
+    "trailing-bytes": lambda blob: blob + b"\x00",
+    "trailing-body": lambda blob: repack(blob, body=lambda body: body + b"\x00" * 8),
+    "wrong-schema": lambda blob: repack(blob, header=lambda h: h.update(schema=2)),
+    "column-length": lambda blob: repack(
+        blob, header=lambda h: h.update(n_flows=h["n_flows"] + 1)),
+    "object-dtype": lambda blob: repack(
+        blob, header=lambda h: h["columns"].update(delay_s="object")),
+    "object-names": lambda blob: repack(
+        blob, header=lambda h: h["node_names"].update(dtype="|O")),
+}
+
+
+#: The float flow columns (the rest of ``FLOW_COLUMNS[3:]`` are int64).
+FLOAT_NAMES = ("delivered_pps", "offered_pps", "loss_frac", "delay_s", "delay_p50_s",
+               "delay_p99_s")
+
+
+#: Node names of varying UTF-32 width (NUL is excluded: numpy strips it).
+_names = st.text(st.characters(exclude_characters="\x00"), max_size=5)
+
+
+@st.composite
+def result_sets(draw):
+    """Multi-scenario ResultSets: 0..6 flows per part, NaN/inf floats, some
+    columns left to their sentinels, concatenated over 1..3 parts."""
+    parts = []
+    for part in range(draw(st.integers(1, 3))):
+        names = draw(st.lists(_names, min_size=1, max_size=4, unique=True))
+        n = draw(st.integers(0, 6))
+        codes = st.lists(st.integers(0, len(names) - 1), min_size=n, max_size=n)
+        columns = {}
+        for name in FLOW_COLUMNS[3:]:
+            if draw(st.booleans()):
+                values = st.floats() if name in FLOAT_NAMES else st.integers(-1, 2**62)
+                columns[name] = draw(st.lists(values, min_size=n, max_size=n))
+        parts.append(ResultSet(
+            node_names=np.asarray(names, dtype=str),
+            src_code=draw(codes), dst_code=draw(codes),
+            scenario_idx=np.zeros(n, dtype=np.int32),
+            scenarios=[{"name": f"part-{part}", "seed": part, "total_pps": 1.5}],
+            **columns,
+        ))
+    return ResultSet.concat(parts)
+
+
+class TestPackedFormat:
+    @settings(max_examples=60, deadline=None)
+    @given(result_sets())
+    def test_round_trip(self, rs):
+        packed = ResultSet.unpack(rs.pack())
+        assert packed == rs
+        assert packed.node_names.dtype == rs.node_names.dtype
+        assert packed.to_bytes() == rs.to_bytes()
+
+    @pytest.mark.parametrize("scenario", ALL_TOPOLOGY_SCENARIOS[:3], ids=lambda s: s.topology)
+    def test_round_trip_simulated(self, scenario):
+        rs = scenario.run()
+        assert ResultSet.unpack(rs.pack()).to_bytes() == rs.to_bytes()
+
+    def test_empty_round_trip(self):
+        empty = ResultSet.empty()
+        assert ResultSet.unpack(empty.pack()).to_bytes() == empty.to_bytes()
+
+    def test_decoded_columns_own_their_memory(self):
+        rs = ResultSet.unpack(small_resultset().pack())
+        for name in ("node_names", "src_code", "dst_code", "scenario_idx", *FLOW_COLUMNS[3:]):
+            array = getattr(rs, name)
+            assert array.flags.owndata and array.base is None, name
+            assert array.flags.writeable, name
+
+    def test_missing_columns_fall_back_to_sentinels(self):
+        """Additive schema: a header without an optional column still loads."""
+        rs = small_resultset()
+        assert list(rs.manifest()["columns"])[-1] == "queue_drops"
+        blob = repack(rs.pack(), header=lambda h: h["columns"].pop("queue_drops"),
+                      body=lambda body: body[:-8 * rs.n_flows])
+        loaded = ResultSet.unpack(blob)
+        assert np.all(loaded.queue_drops == -1)
+        assert np.array_equal(loaded.delivered_pps, rs.delivered_pps)
+        assert np.array_equal(loaded.hops, rs.hops)
+
+    @pytest.mark.parametrize("corruption", BROKEN_PACKINGS)
+    def test_broken_packing_raises_value_error(self, corruption):
+        with pytest.raises(ValueError):
+            ResultSet.unpack(BROKEN_PACKINGS[corruption](small_resultset().pack()))
+
+    @pytest.mark.parametrize("blob", [b"", b"\x00" * 8, zlib.compress(b"\x01\x00"),
+                                      zlib.compress(b"\x02\x00\x00\x00[]")])
+    def test_malformed_buffers_raise_value_error(self, blob):
+        with pytest.raises(ValueError):
+            ResultSet.unpack(blob)
+
+
 class TestCacheIntegration:
     def test_resultset_stored_binary_and_reloaded(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -197,25 +354,60 @@ class TestCacheIntegration:
         assert "got a dict" in message
         assert "force" in message and "clear the result cache" in message
 
-    @pytest.mark.parametrize("corruption", ["garbage", "truncated", "missing"])
+    @pytest.mark.parametrize("corruption", [*BROKEN_PACKINGS, "missing"])
     def test_corrupt_binary_sidecar_evicted_and_reexecuted(self, tmp_path, corruption):
-        """Unreadable sidecars (np.load raises BadZipFile/EOFError/ValueError
-        depending on how the bytes are broken) must evict, not crash."""
+        """Unreadable sidecars (``unpack`` raises ValueError however the bytes
+        are broken, opening a missing one OSError) must evict, not crash."""
         cache = ResultCache(tmp_path / "cache")
         task = scenario_task(ALL_TOPOLOGY_SCENARIOS[0])
         first = BatchRunner(workers=0, cache=cache).run([task])
         sidecar = cache._binary_path(task.cache_key)
-        if corruption == "garbage":
-            sidecar.write_bytes(b"\x00not an npz")
-        elif corruption == "truncated":
-            sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
-        else:
+        if corruption == "missing":
             sidecar.unlink()
+        else:
+            sidecar.write_bytes(BROKEN_PACKINGS[corruption](sidecar.read_bytes()))
         assert cache.get(task.cache_key) is None
         assert not cache._path(task.cache_key).exists()  # manifest evicted too
+        assert not sidecar.exists()
         retry = BatchRunner(workers=0, cache=cache).run([task])
         assert retry.report.executed == 1
         assert retry.results == first.results
+
+    def test_legacy_npz_entry_still_hits(self, tmp_path):
+        """An entry written the ``npz/1`` way (``.npz`` sidecar) keeps hitting."""
+        cache = ResultCache(tmp_path / "cache")
+        task = scenario_task(ALL_TOPOLOGY_SCENARIOS[0])
+        result = ALL_TOPOLOGY_SCENARIOS[0].run()
+        write_npz_entry(cache, task, result)
+        replay = BatchRunner(workers=0, cache=cache).run([task])
+        assert replay.report.cache_hits == 1
+        assert replay.results == [result]
+
+    @pytest.mark.parametrize("legacy", [False, True], ids=["packed", "npz"])
+    def test_eviction_removes_whichever_sidecar_exists(self, tmp_path, legacy):
+        cache = ResultCache(tmp_path / "cache")
+        task = scenario_task(ALL_TOPOLOGY_SCENARIOS[0])
+        result = ALL_TOPOLOGY_SCENARIOS[0].run()
+        if legacy:
+            write_npz_entry(cache, task, result)
+            sidecar = cache._npz_path(task.cache_key)
+        else:
+            cache.put(task.cache_key, {"fn": task.fn, "config": task.config}, result)
+            sidecar = cache._binary_path(task.cache_key)
+        cache._path(task.cache_key).write_text("{not json")
+        assert cache.get(task.cache_key) is None
+        assert not sidecar.exists()
+        assert list((tmp_path / "cache").rglob("*.*")) == []
+
+    def test_unknown_sidecar_format_evicted(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        task = scenario_task(ALL_TOPOLOGY_SCENARIOS[0])
+        result = ALL_TOPOLOGY_SCENARIOS[0].run()
+        cache.put(task.cache_key, {"fn": task.fn, "config": task.config}, result)
+        path = cache._path(task.cache_key)
+        path.write_text(path.read_text().replace("packed/1", "packed/9"))
+        assert cache.get(task.cache_key) is None
+        assert not cache._binary_path(task.cache_key).exists()
 
     def test_columnar_results_identical_across_worker_pool(self, tmp_path):
         tasks = [scenario_task(s) for s in ALL_TOPOLOGY_SCENARIOS]

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.registry import CONTROLLERS
+from repro.runner import config_hash
 from repro.scenarios import Placement, Scenario, TOPOLOGIES, generate_topology
 
 EXTENT = 120.0
@@ -149,3 +154,81 @@ class TestScenarioSpec:
         with_cs = base.run().scenarios[0]["total_pps"]
         without_cs = base.with_overrides(cca_threshold_dbm=None).run().scenarios[0]["total_pps"]
         assert without_cs > 1.2 * with_cs
+
+
+def asdict_config(scenario):
+    """``Scenario.as_config`` as it was built on ``dataclasses.asdict``."""
+    config = dataclasses.asdict(scenario)
+    config["topology_params"] = dict(scenario.topology_params)
+    for optional in ("traffic_params", "mac_params", "routing_params", "controller_params"):
+        if not config[optional]:
+            del config[optional]
+        else:
+            config[optional] = dict(config[optional])
+    for optional in ("routing", "queue_capacity", "controller", "control_epoch_s"):
+        if config[optional] is None:
+            del config[optional]
+    return config
+
+
+#: JSON-able param values with nested lists and dicts.
+_param_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+_params = st.dictionaries(st.text(min_size=1, max_size=6), _param_values, max_size=3)
+
+
+class TestAsConfig:
+    """``as_config`` reads fields directly; it must equal the ``asdict`` form
+    (so every cache key is unchanged) and share no mutable state."""
+
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_equal_to_asdict_form_for_every_topology(self, name):
+        scenario = Scenario(name=f"cfg-{name}", topology=name, n_nodes=9, seed=4)
+        config = scenario.as_config()
+        assert config == asdict_config(scenario)
+        assert config_hash(config) == config_hash(asdict_config(scenario))
+
+    @settings(max_examples=60, deadline=None)
+    @given(topology=st.sampled_from(sorted(TOPOLOGIES)), topology_params=_params,
+           traffic_params=_params, mac_params=_params, routing_params=_params,
+           controller_params=_params, routed=st.booleans(), controlled=st.booleans())
+    def test_equal_to_asdict_form_and_detached(self, topology, topology_params, traffic_params,
+                                                mac_params, routing_params, controller_params,
+                                                routed, controlled):
+        scenario = Scenario(
+            topology=topology, topology_params=topology_params,
+            traffic_params=traffic_params, mac_params=mac_params,
+            routing="shortest_path" if routed else None,
+            routing_params=routing_params if routed else {},
+            queue_capacity=4 if routed else None,
+            controller=sorted(CONTROLLERS)[0] if controlled else None,
+            controller_params=controller_params if controlled else {},
+        )
+        expected = copy.deepcopy(asdict_config(scenario))
+        config = scenario.as_config()
+        assert config == expected
+        assert config_hash(config) == config_hash(expected)
+        # Mutating every nested container of the config leaves the spec intact.
+        for params in ("topology_params", "traffic_params", "mac_params", "routing_params",
+                       "controller_params"):
+            if params in config:
+                _scramble(config[params])
+                config[params]["added"] = 1
+        assert scenario.as_config() == expected
+
+
+def _scramble(value):
+    """Mutate every list and dict nested in ``value``, in place."""
+    children = list(value.values()) if isinstance(value, dict) else value
+    for child in children:
+        if isinstance(child, (list, dict)):
+            _scramble(child)
+    if isinstance(value, list):
+        value.append("scrambled")
+    else:
+        value["scrambled"] = True
