@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import re
 import struct
 import zlib
@@ -80,6 +81,17 @@ _COLUMN_DTYPES: Dict[str, str] = {
 _PACKED_DTYPES = {"int32": np.dtype("<i4"), "float64": np.dtype("<f8"), "int64": np.dtype("<i8")}
 
 _HEADER_LENGTH = struct.Struct("<I")
+
+
+def _meta_equal(a: Any, b: Any) -> bool:
+    """``a == b`` over JSON-like scenario metadata, with NaN equal to NaN."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_meta_equal(a[key], b[key]) for key in a)
+    if isinstance(a, (list, tuple)) and type(a) is type(b):
+        return len(a) == len(b) and all(map(_meta_equal, a, b))
+    return bool(a == b)
 
 
 class ResultSet:
@@ -363,7 +375,7 @@ class ResultSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResultSet):
             return NotImplemented
-        if self.scenarios != other.scenarios:
+        if not _meta_equal(self.scenarios, other.scenarios):
             return False
         if self.n_flows != other.n_flows:
             return False

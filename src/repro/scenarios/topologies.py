@@ -15,6 +15,7 @@ passive listeners), and keep every coordinate inside the box
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
@@ -77,8 +78,8 @@ def generate_topology(name: str, n_nodes: int, extent: float, seed: int, **param
         raise KeyError(f"unknown topology {name!r} (known: {known})")
     if n_nodes < 2:
         raise ValueError("a scenario needs at least two nodes")
-    if extent <= 0:
-        raise ValueError("extent must be positive")
+    if not (math.isfinite(extent) and extent > 0):
+        raise ValueError(f"extent must be positive and finite, got {extent!r}")
     # Mix the topology name into the seed deterministically (``hash()`` is
     # randomised per process, which would break cross-process reproducibility).
     name_tag = zlib.crc32(name.encode("utf-8"))
@@ -220,6 +221,14 @@ def scale_free(
     tree core ("Communication Bottlenecks in Scale-Free Networks") --
     meaningful with a routing layer, since most sources are several hops
     out.
+
+    Each step costs O(log N): the target comes from a Fenwick tree over the
+    integer degrees (see :func:`_attachment_target`), which picks exactly
+    the node the float ``cdf`` search of ``rng.choice(index, p=weights)``
+    picks, and the node's three doubles come from one ``rng.random`` call
+    for the whole layout.  Positions and flows equal, bit for bit, those of
+    the O(N)-per-node float-``cdf`` generator that
+    ``tests/test_scale_free_oracle.py`` keeps as the oracle.
     """
     if flows not in ("uplink", "to_root"):
         raise ValueError(f"unknown scale_free flow mode {flows!r} (known: uplink, to_root)")
@@ -229,9 +238,11 @@ def scale_free(
         # Clamping silently would leave zero attachment edges -> zero flows,
         # and a cached all-zero "result" is worse than an error.
         raise ValueError(f"n_hubs ({n_hubs}) must be less than n_nodes ({n_nodes})")
+    if not (math.isfinite(attach_range_frac) and attach_range_frac > 0):
+        raise ValueError(
+            f"attach_range_frac must be positive and finite, got {attach_range_frac!r}"
+        )
     positions: Dict[str, Position] = {}
-    # Degrees of nodes 0..index-1 live in degrees[:index].
-    degrees = np.ones(n_nodes)
     if n_hubs == 1:
         # Single-building layout; kept draw-for-draw identical to the
         # original generator so existing seeds reproduce bit-for-bit.
@@ -240,25 +251,86 @@ def scale_free(
         centres = rng.uniform(0.1 * extent, 0.9 * extent, size=(n_hubs, 2))
         for hub in range(n_hubs):
             positions[_node_id(hub)] = _clip_box(centres[hub, 0], centres[hub, 1], extent)
+    # Each attached node's three doubles, drawn at once in the order the
+    # per-node scalar draws took them: the pick, then uniform(0.3, 1.0) for
+    # the hop and uniform(0, 2*pi) for its bearing (``uniform(a, b)`` is
+    # ``a + (b - a) * draw``).
+    count = n_nodes - n_hubs
+    draws = rng.random(3 * count).reshape(count, 3)
+    picks = draws[:, 0].tolist()
+    hops = (0.3 + (1.0 - 0.3) * draws[:, 1]) * attach_range_frac * extent
+    bearings = (2.0 * np.pi) * draws[:, 2]
+    dxs = (hops * np.cos(bearings)).tolist()
+    dys = (hops * np.sin(bearings)).tolist()
+    names = [_node_id(index) for index in range(n_nodes)]
+    # Degrees of nodes 0..index-1 live in degrees[:index]; ``tree`` is a
+    # Fenwick tree over all n_nodes of them, every degree starting at 1.
+    degrees = [1] * n_nodes
+    tree = [position & -position for position in range(n_nodes + 1)]
     flows_out: List[Tuple[str, str]] = []
     for index in range(n_hubs, n_nodes):
-        weights = degrees[:index] / float(np.sum(degrees[:index]))
-        # ``rng.choice(index, p=weights)``'s own steps, without its per-call
-        # validation: the same uniform draw and the same target.
-        cdf = weights.cumsum()
-        cdf /= cdf[-1]
-        target = int(cdf.searchsorted(rng.random(), side="right"))
-        tx, ty = positions[_node_id(target)]
-        hop = float(rng.uniform(0.3, 1.0)) * attach_range_frac * extent
-        phi = float(rng.uniform(0.0, 2.0 * np.pi))
-        node = _node_id(index)
-        positions[node] = _clip_box(tx + hop * np.cos(phi), ty + hop * np.sin(phi), extent)
-        flows_out.append((node, _node_id(target)))
-        degrees[target] += 1.0
+        row = index - n_hubs  # this node's row of draws
+        # Every node enters with degree 1 and each attachment adds 1.
+        degree_sum = 2 * index - n_hubs
+        target = _attachment_target(tree, degrees, index, degree_sum, picks[row])
+        tx, ty = positions[names[target]]
+        node = names[index]
+        positions[node] = _clip_box(tx + dxs[row], ty + dys[row], extent)
+        flows_out.append((node, names[target]))
+        degrees[target] += 1
+        position = target + 1
+        while position <= n_nodes:
+            tree[position] += 1
+            position += position & -position
     if flows == "to_root":
         root = _node_id(0)
         flows_out = [(node, root) for node in positions if node != root]
     return Placement("scale_free", positions, tuple(flows_out))
+
+
+#: Unit roundoff of float64.
+_ROUNDOFF = 2.0 ** -53
+
+
+def _attachment_target(
+    tree: List[int], degrees: List[int], index: int, total: int, pick: float
+) -> int:
+    """The earlier node ``rng.choice(index, p=degrees[:index] / total)``
+    picks for the uniform draw ``pick``, in O(log N).
+
+    ``choice`` searches the float ``cdf`` of the normalised degrees, whose
+    entries sit within ``(2 * index + 3)`` roundoffs of the exact prefix
+    fractions (sequential ``cumsum`` plus the two divisions).  The Fenwick
+    descent finds the exact answer -- the first node whose integer prefix sum
+    exceeds ``pick * total`` -- and keeps it when that point clears both of
+    the node's prefix boundaries by ``4 * (index + 4)`` roundoffs, twice the
+    bound, so the float search must land on the same node.  A point closer
+    to a boundary than that is settled by the float search itself.
+    """
+    point = pick * total
+    below = 0  # the prefix sum before ``node``
+    node = 0
+    step = 1 << (index.bit_length() - 1)
+    while step:
+        ahead = node + step
+        if ahead <= index and below + tree[ahead] <= point:
+            node = ahead
+            below += tree[ahead]
+        step >>= 1
+    margin = 4 * (index + 4) * _ROUNDOFF * total
+    if node < index and point - below > margin and below + degrees[node] - point > margin:
+        return node
+    return _float_cdf_target(degrees, index, pick)
+
+
+def _float_cdf_target(degrees: List[int], index: int, pick: float) -> int:
+    """``rng.choice(index, p=weights)``'s own steps, without its per-call
+    validation: the same float ``cdf`` and the same search."""
+    weights = np.array(degrees[:index], dtype=float)
+    weights /= float(np.sum(weights))
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(pick, side="right"))
 
 
 @register_topology("hidden_terminal")

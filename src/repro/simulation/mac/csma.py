@@ -26,8 +26,9 @@ like the paper's experiments.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Hashable, Optional
+from typing import Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +64,20 @@ _HALVING_BIT_GENERATORS = (
     np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64
 )
 _LOW_WORD = 0xFFFFFFFF
+
+
+@functools.lru_cache(maxsize=16)
+def _response_timeouts(
+    sifs_s: float, slot_s: float, control_rate: RateInfo
+) -> Tuple[float, float]:
+    """The ACK and CTS response timeouts.  They are fixed by the timing and
+    the control rate, so they are computed once per setting -- not per node,
+    and not from a throwaway Frame per wait."""
+    wait_s = sifs_s + 2 * slot_s
+    return (
+        wait_s + frame_airtime_s(ACK_BYTES, control_rate, include_mac_header=False),
+        wait_s + frame_airtime_s(_CTS_BYTES, control_rate, include_mac_header=False),
+    )
 
 
 class CsmaMac(MacBase):
@@ -160,13 +175,8 @@ class CsmaMac(MacBase):
         self._awaiting_ack_for: Optional[Frame] = None
         self._awaiting_cts_for: Optional[Frame] = None
         self._nav_until = 0.0
-        # Control-frame response timeouts are fixed by the control rate;
-        # precompute them instead of building a throwaway Frame per wait.
-        self._ack_timeout_s = sifs_s + 2 * slot_s + frame_airtime_s(
-            ACK_BYTES, control_rate, include_mac_header=False
-        )
-        self._cts_timeout_s = sifs_s + 2 * slot_s + frame_airtime_s(
-            _CTS_BYTES, control_rate, include_mac_header=False
+        self._ack_timeout_s, self._cts_timeout_s = _response_timeouts(
+            sifs_s, slot_s, control_rate
         )
 
     # ------------------------------------------------------------------ lifecycle

@@ -326,12 +326,15 @@ class Medium:
         self._radios[node_id] = radio
         self._index[node_id] = radio._slot = len(self._slot_radios)
         self._slot_radios.append(radio)
-        for column, initial in (
-            (self._rx_sum_mw, 0.0), (self._cca_sum_mw, 0.0), (self._incoming, 0),
-            (self._mutations, 0), (self._busy, False), (self._lock_tx, None),
-            (self._lock_mw, 0.0), (self._capture_dbm, math.inf), (self._lock_max_mw, 0.0),
-        ):
-            column.append(initial)
+        self._rx_sum_mw.append(0.0)
+        self._cca_sum_mw.append(0.0)
+        self._incoming.append(0)
+        self._mutations.append(0)
+        self._busy.append(False)
+        self._lock_tx.append(None)
+        self._lock_mw.append(0.0)
+        self._capture_dbm.append(math.inf)
+        self._lock_max_mw.append(0.0)
         self._finalized = False
 
     @property

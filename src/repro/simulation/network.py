@@ -33,6 +33,7 @@ from .medium import DEFAULT_DETECTABILITY_MARGIN_DB, Medium
 from .node import Node
 from .phy import ReceptionModel
 from .radio import Radio
+from .seeding import HashedSeed, hash_seeds
 from .stats import LinkThroughput
 from .traffic import TrafficSource
 
@@ -98,6 +99,7 @@ class WirelessNetwork:
         "route_table",
         "_rng",
         "_child_seeds",
+        "_child_words",
         "_started",
     )
 
@@ -136,6 +138,7 @@ class WirelessNetwork:
         self.route_table = None
         self._rng = np.random.default_rng(seed)
         self._child_seeds: list = []
+        self._child_words = np.empty((0, 4), dtype=np.uint64)
         self._started = False
 
     # -- construction -----------------------------------------------------------
@@ -145,21 +148,28 @@ class WirelessNetwork:
     #: constructing an N-node network.  Bounded-integer generation consumes
     #: the PCG64 stream value-by-value, so the batched draws are
     #: bit-identical to the historical one-draw-per-call sequence (pinned by
-    #: tests/test_simulation_mac_network.py).
-    _SEED_BATCH = 256
+    #: tests/test_simulation_mac_network.py).  Each block's PCG64 seeding
+    #: words are hashed together (:mod:`.seeding`), which costs about as
+    #: much as seeding three generators one by one: a small block keeps a
+    #: 3-4-node network (6-8 children) from hashing seeds it never uses.
+    _SEED_BATCH = 32
 
     def _next_child_seed(self) -> int:
         if not self._child_seeds:
             batch = self._rng.integers(0, 2**63 - 1, size=self._SEED_BATCH)
-            self._child_seeds = [int(s) for s in batch[::-1]]
+            # Seeds pop from the end; after a pop, the list's length is the
+            # index of the popped seed's words in the reversed block.
+            self._child_seeds = batch[::-1].tolist()
+            self._child_words = hash_seeds(batch)[::-1]
         return self._child_seeds.pop()
 
     def _child_rng(self) -> np.random.Generator:
-        # Direct Generator(PCG64(seed)) construction: the same
-        # SeedSequence-derived stream ``default_rng(seed)`` yields (pinned by
-        # the batched-seed tests), minus a layer of dispatch overhead on a
-        # path hit ~2N times per network build.
-        return np.random.Generator(np.random.PCG64(self._next_child_seed()))
+        # ``Generator(PCG64(seed))`` -- the stream ``default_rng(seed)``
+        # yields -- from the words hashed with the seed's block, not by a
+        # ``SeedSequence`` of its own (pinned by tests/test_seeding.py).
+        seed = self._next_child_seed()
+        words = self._child_words[len(self._child_seeds)]
+        return np.random.Generator(np.random.PCG64(HashedSeed(seed, words)))
 
     def add_node(
         self,

@@ -95,6 +95,21 @@ class TestRoundTripFidelity:
         assert ResultSet.load(path) == rs
         assert ResultSet.from_bytes(rs.to_bytes()) == rs
 
+    def test_nan_scenario_metadata_equals_its_round_trips(self):
+        """NaN in scenario metadata equals NaN, so a set read back from its
+        bytes or its packed cache form equals the set that was written."""
+        nan = float("nan")
+        for meta in ({"name": "x", "delay": nan},
+                     {"name": "x", "control": [{"delay": nan, "pps": 1.0}], "seed": 3}):
+            rs = ResultSet.from_flows(meta, [("a", "b")], delivered_pps=[1.0])
+            assert ResultSet.from_bytes(rs.to_bytes()) == rs
+            assert ResultSet.unpack(rs.pack()) == rs
+        nan_set = ResultSet.from_flows({"name": "x", "delay": nan}, [("a", "b")],
+                                       delivered_pps=[1.0])
+        for other in ({"name": "x", "delay": 1.0}, {"name": "x", "delay": None},
+                      {"name": "x"}, {"name": "y", "delay": nan}):
+            assert ResultSet.from_flows(other, [("a", "b")], delivered_pps=[1.0]) != nan_set
+
     def test_manifest_is_json_able(self):
         manifest = small_resultset().manifest()
         decoded = json.loads(json.dumps(manifest))

@@ -69,6 +69,22 @@ def test_degenerate_arguments_rejected():
         generate_topology("grid", n_nodes=4, extent=0.0, seed=0)
 
 
+@pytest.mark.parametrize("extent", [float("nan"), float("inf"), -5.0])
+def test_non_finite_or_negative_extent_rejected(extent):
+    for name in sorted(TOPOLOGIES):
+        with pytest.raises(ValueError, match="extent"):
+            generate_topology(name, n_nodes=NODE_COUNTS[name], extent=extent, seed=0)
+
+
+def test_nan_attach_range_frac_fails_the_run_instead_of_reading_zero():
+    """A NaN hop used to place every attached node at NaN and run to a
+    silent (and cached) ``total_pps`` of 0."""
+    scenario = Scenario(topology="scale_free", n_nodes=6, duration_s=0.05,
+                        topology_params={"attach_range_frac": float("nan")})
+    with pytest.raises(ValueError, match="attach_range_frac"):
+        scenario.run()
+
+
 def test_scale_free_grows_hub_degrees():
     placement = generate_topology("scale_free", n_nodes=60, extent=200.0, seed=1)
     indegree: dict = {}
