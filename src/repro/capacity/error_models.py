@@ -13,7 +13,7 @@ curves have the familiar waterfall shape: ~0 above the rate's minimum SNR and
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 from scipy.special import erfc
@@ -107,23 +107,9 @@ def coded_ber(snr_db: ArrayLike, rate: RateInfo) -> ArrayLike:
 _TEN = np.array(10.0)
 
 
-def _packet_error_rate_scalar(snr_db: float, rate: RateInfo, payload_bytes: int) -> float:
-    """Scalar fast path: no array coercion, ``np.clip``, or ``errstate``.
-
-    Bit-identical to the vectorized path on the same input (pinned by
-    tests/test_capacity_rates_errors.py): the transcendental steps that
-    numpy evaluates with its own kernels (``power``, ``exp``, ``log1p``,
-    ``erfc``) stay numpy/scipy scalar calls -- ``math``'s libm versions can
-    differ in the last ulp -- while the pure-IEEE arithmetic (multiply,
-    divide, ``sqrt``, min/max) runs as plain Python float ops.  The packet
-    simulator calls this once per decoded frame, which is why the array
-    machinery overhead was worth removing (ROADMAP open item).
-    """
-    bits_per_symbol = _MODULATION_BITS.get(rate.modulation)
-    if bits_per_symbol is None:
-        raise KeyError(f"unknown modulation {rate.modulation!r}")
-    if snr_db != snr_db:  # NaN propagates exactly as through the array path
-        return float("nan")
+def _coded_ber_scalar(snr_db: float, rate: RateInfo, bits_per_symbol: int) -> float:
+    """:func:`coded_ber` of one non-NaN float, capped at 1.0, with plain
+    Python float arithmetic between the numpy/scipy transcendental calls."""
     gain = _CODING_GAIN_DB.get(rate.code_rate, 3.0)
     snr_linear = float(np.power(_TEN, (snr_db + gain) / 10.0)) / bits_per_symbol
     if snr_linear < 0.0:
@@ -141,14 +127,122 @@ def _packet_error_rate_scalar(snr_db: float, rate: RateInfo, payload_bytes: int)
             * (1.0 - 1.0 / math.sqrt(m))
             * (0.5 * float(erfc(arg / math.sqrt(2.0))))
         )
-    if ber > 1.0:
-        ber = 1.0
-    per = 1.0 - float(np.exp(8 * payload_bytes * float(np.log1p(-min(ber, 1.0 - 1e-15)))))
+    return 1.0 if ber > 1.0 else ber
+
+
+def _log_success(ber: float, bits: int) -> float:
+    """``log`` of the all-bits-correct probability, as the PER formula takes it."""
+    return bits * float(np.log1p(-min(ber, 1.0 - 1e-15)))
+
+
+def _packet_error_rate_kernel(snr_db: float, rate: RateInfo, payload_bytes: int) -> float:
+    """The scalar PER formula: no array coercion, ``np.clip``, or ``errstate``.
+
+    Bit-identical to the vectorized path on the same input (pinned by
+    tests/test_capacity_rates_errors.py): the transcendental steps that
+    numpy evaluates with its own kernels (``power``, ``exp``, ``log1p``,
+    ``erfc``) stay numpy/scipy scalar calls -- ``math``'s libm versions can
+    differ in the last ulp -- while the pure-IEEE arithmetic (multiply,
+    divide, ``sqrt``, min/max) runs as plain Python float ops.
+    """
+    bits_per_symbol = _MODULATION_BITS.get(rate.modulation)
+    if bits_per_symbol is None:
+        raise KeyError(f"unknown modulation {rate.modulation!r}")
+    if snr_db != snr_db:  # NaN propagates exactly as through the array path
+        return float("nan")
+    ber = _coded_ber_scalar(snr_db, rate, bits_per_symbol)
+    per = 1.0 - float(np.exp(_log_success(ber, 8 * payload_bytes)))
     if per < 0.0:
         return 0.0
     if per > 1.0:
         return 1.0
     return per
+
+
+#: A coded BER at or under this makes PER exactly 0.0: ``log1p(-ber)`` is
+#: ``-ber``, and ``bits * ber`` stays far under 2**-54, below which ``exp``
+#: of its negative rounds to 1.0 (checked per payload in
+#: :func:`_saturation_edges`).
+_BER_EXACT_ZERO = 1e-25
+
+#: A ``_log_success`` at or under this makes PER exactly 1.0: ``exp(-42)``
+#: is about 5.7e-19, far under 2**-54 (5.6e-17), so ``1.0 - exp`` rounds
+#: to 1.0.
+_LOG_SUCCESS_EXACT_ONE = -42.0
+
+#: How far out (dB) the edge search starts; both edges of every rate and
+#: payload lie well inside.
+_EDGE_SEARCH_DB = 300.0
+
+#: ``(modulation, code rate, payload bytes)`` -> the ``(low, high)`` SNR edges
+#: of :func:`_saturation_edges`.
+_PER_EDGES: Dict[Tuple[str, float, int], Tuple[float, float]] = {}
+
+
+def _saturation_edge(holds: Callable[[float], bool], side: float) -> float:
+    """Bisect for where ``holds`` starts to hold on the way out towards
+    ``side * inf`` (``side`` -1: low SNRs, +1: high SNRs), ``holds`` being
+    monotone in that direction.  Returns the innermost SNR (dB) at which
+    ``holds`` was seen true, or ``side * inf`` when it fails even
+    ``_EDGE_SEARCH_DB`` out, so that no finite SNR takes the shortcut."""
+    inner, outer = -side * _EDGE_SEARCH_DB, side * _EDGE_SEARCH_DB
+    if not holds(outer):
+        return side * math.inf
+    while True:
+        middle = (inner + outer) / 2.0
+        if middle == inner or middle == outer:
+            return outer
+        if holds(middle):
+            outer = middle
+        else:
+            inner = middle
+
+
+def _saturation_edges(rate: RateInfo, payload_bytes: int) -> Tuple[float, float]:
+    """``(low, high)``: at or under ``low`` dB the kernel returns exactly 1.0,
+    at or over ``high`` exactly 0.0.
+
+    Each edge is an SNR where the kernel's own BER was seen past its
+    exactness bound.  The BER falls with the SNR (``power`` and ``erfc`` are
+    monotone up to an ulp, far inside the bounds' margins), so every SNR
+    beyond an edge is past the bound too.
+    """
+    bits_per_symbol = _MODULATION_BITS.get(rate.modulation)
+    if bits_per_symbol is None:
+        raise KeyError(f"unknown modulation {rate.modulation!r}")
+    bits = 8 * payload_bytes
+    low = _saturation_edge(
+        lambda snr: _log_success(_coded_ber_scalar(snr, rate, bits_per_symbol), bits)
+        <= _LOG_SUCCESS_EXACT_ONE,
+        -1.0,
+    )
+    if bits * _BER_EXACT_ZERO < 2.0**-60:
+        high = _saturation_edge(
+            lambda snr: _coded_ber_scalar(snr, rate, bits_per_symbol) <= _BER_EXACT_ZERO, 1.0
+        )
+    else:
+        high = math.inf
+    return low, high
+
+
+def _packet_error_rate_scalar(snr_db: float, rate: RateInfo, payload_bytes: int) -> float:
+    """Scalar fast path: :func:`_packet_error_rate_kernel`, or its exact
+    0.0 or 1.0 without the kernel when the SNR lies beyond a saturation edge.
+
+    The packet simulator calls this once per decoded frame, and half or
+    more of its decodes lie beyond the rate's waterfall.  The edges are found once
+    per ``(modulation, code rate, payload)``; NaN passes neither comparison
+    and reaches the kernel.
+    """
+    key = (rate.modulation, rate.code_rate, payload_bytes)
+    edges = _PER_EDGES.get(key)
+    if edges is None:
+        edges = _PER_EDGES[key] = _saturation_edges(rate, payload_bytes)
+    if snr_db >= edges[1]:
+        return 0.0
+    if snr_db <= edges[0]:
+        return 1.0
+    return _packet_error_rate_kernel(snr_db, rate, payload_bytes)
 
 
 def packet_error_rate(snr_db: ArrayLike, rate: RateInfo, payload_bytes: int = 1400) -> ArrayLike:
@@ -178,6 +272,21 @@ def packet_success_rate(snr_db: ArrayLike, rate: RateInfo, payload_bytes: int = 
     return 1.0 - packet_error_rate(snr_db, rate, payload_bytes)
 
 
+#: ``n_points`` -> the read-only ``hermegauss(n_points)`` pair.
+_QUADRATURE: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _hermegauss(n_points: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite (probabilists') nodes and weights, built once per size."""
+    pair = _QUADRATURE.get(n_points)
+    if pair is None:
+        nodes, weights = np.polynomial.hermite_e.hermegauss(n_points)
+        nodes.flags.writeable = False
+        weights.flags.writeable = False
+        pair = _QUADRATURE[n_points] = (nodes, weights)
+    return pair
+
+
 def average_packet_success_rate(
     mean_snr_db: float,
     rate: RateInfo,
@@ -198,7 +307,7 @@ def average_packet_success_rate(
         raise ValueError("sigma must be non-negative")
     if sigma_db == 0.0:
         return float(packet_success_rate(mean_snr_db, rate, payload_bytes))
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n_points)
+    nodes, weights = _hermegauss(n_points)
     snr_values = mean_snr_db + sigma_db * nodes
     success = np.asarray(packet_success_rate(snr_values, rate, payload_bytes))
     return float(np.sum(weights * success) / np.sum(weights))

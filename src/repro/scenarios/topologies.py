@@ -78,13 +78,21 @@ def generate_topology(name: str, n_nodes: int, extent: float, seed: int, **param
         raise KeyError(f"unknown topology {name!r} (known: {known})")
     if n_nodes < 2:
         raise ValueError("a scenario needs at least two nodes")
-    if not (math.isfinite(extent) and extent > 0):
-        raise ValueError(f"extent must be positive and finite, got {extent!r}")
+    _require_finite("extent", extent, positive=True)
     # Mix the topology name into the seed deterministically (``hash()`` is
     # randomised per process, which would break cross-process reproducibility).
     name_tag = zlib.crc32(name.encode("utf-8"))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), name_tag)))
     return TOPOLOGIES[name](n_nodes=n_nodes, extent=extent, rng=rng, **params)
+
+
+def _require_finite(name: str, value: float, positive: bool = False) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite (and,
+    with ``positive``, above zero).  A NaN size or fraction places nodes at
+    NaN, and the run would read -- and cache -- zero throughput."""
+    if not (math.isfinite(value) and (value > 0 or not positive)):
+        kind = "positive and finite" if positive else "finite"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def _node_id(index: int) -> str:
@@ -111,6 +119,7 @@ def uniform_disc(
     uniform over the disc of radius ``extent`` and each sender's receiver is
     uniform over the disc of radius ``link_range_frac * extent`` around it.
     """
+    _require_finite("link_range_frac", link_range_frac)
     positions: Dict[str, Position] = {}
     flows: List[Tuple[str, str]] = []
     n_pairs = n_nodes // 2
@@ -139,6 +148,7 @@ def grid(
     n_nodes: int, extent: float, rng: np.random.Generator, jitter_frac: float = 0.15
 ) -> Placement:
     """A jittered square grid over ``[0, extent]^2``, adjacent nodes paired."""
+    _require_finite("jitter_frac", jitter_frac)
     cols = int(np.ceil(np.sqrt(n_nodes)))
     rows = int(np.ceil(n_nodes / cols))
     dx, dy = extent / cols, extent / rows
@@ -169,6 +179,7 @@ def clustered(
     """Hotspot clusters: nodes gather around a few centres, flows stay local."""
     if n_clusters < 1:
         raise ValueError("need at least one cluster")
+    _require_finite("spread_frac", spread_frac)
     n_clusters = min(n_clusters, n_nodes // 2) or 1
     centres = rng.uniform(0.1 * extent, 0.9 * extent, size=(n_clusters, 2))
     assignment = rng.integers(0, n_clusters, size=n_nodes)
@@ -238,10 +249,7 @@ def scale_free(
         # Clamping silently would leave zero attachment edges -> zero flows,
         # and a cached all-zero "result" is worse than an error.
         raise ValueError(f"n_hubs ({n_hubs}) must be less than n_nodes ({n_nodes})")
-    if not (math.isfinite(attach_range_frac) and attach_range_frac > 0):
-        raise ValueError(
-            f"attach_range_frac must be positive and finite, got {attach_range_frac!r}"
-        )
+    _require_finite("attach_range_frac", attach_range_frac, positive=True)
     positions: Dict[str, Position] = {}
     if n_hubs == 1:
         # Single-building layout; kept draw-for-draw identical to the
@@ -348,6 +356,7 @@ def hidden_terminal(
     """
     if n_nodes < 3:
         raise ValueError("hidden_terminal needs at least three nodes")
+    _require_finite("jitter_frac", jitter_frac)
     positions: Dict[str, Position] = {}
     flows: List[Tuple[str, str]] = []
     n_groups = n_nodes // 3
@@ -386,6 +395,9 @@ def exposed_terminal(
     """
     if n_nodes < 4:
         raise ValueError("exposed_terminal needs at least four nodes")
+    _require_finite("sender_gap_frac", sender_gap_frac)
+    _require_finite("link_frac", link_frac)
+    _require_finite("jitter_frac", jitter_frac)
     positions: Dict[str, Position] = {}
     flows: List[Tuple[str, str]] = []
     n_groups = n_nodes // 4
@@ -433,6 +445,7 @@ def line(
       saturated-uplink / collision-domain pattern the Bianchi cross-check
       uses.
     """
+    _require_finite("jitter_frac", jitter_frac)
     spacing = extent / max(1, n_nodes - 1)
     order: List[str] = []
     positions: Dict[str, Position] = {}

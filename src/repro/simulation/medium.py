@@ -14,10 +14,12 @@ sender's received-power row is built on its first transmission, together
 with its notification row: the radios whose received power clears a
 detectability floor, the noise floor minus ``detectability_margin_db``
 (about -110 dBm by default).  Nodes that never transmit never get a row, so
-no N x N matrix exists on a cold run.  Power below that floor can never
+no N x N matrix exists on a cold run.  The row is kept once, in milliwatts;
+its dBm form is built only transiently.  Power below that floor can never
 be locked onto; it only matters as summed background energy, so it is folded
-into one vectorized *active sub-floor power* array (a row add on frame start,
-a subtract on end) that CCA and SINR read as part of their noise term.
+into one vectorized *active sub-floor power* array (the sender's mW row
+added where its sub-floor mask is set on frame start, subtracted on end)
+that CCA and SINR read as part of their noise term.
 Masked vector ops over that array sample worst-case interference at locked
 radios and fire busy edges caused by sub-floor power alone.  CCA and SINR
 thus see the totals of the unpruned path (``detectability_margin_db=None``);
@@ -138,15 +140,17 @@ class LinkRows:
 
     Holds the node coordinates and the channel's :class:`ShadowingTable`
     over ``ids`` (drawn from ``channel`` here, exactly as a full matrix would
-    draw it).  :meth:`dbm` builds and caches sender ``i``'s row::
+    draw it).  Sender ``i``'s dBm row is::
 
         tx_power - loss_db(max(hypot(x_i - x, y_i - y), min_distance)) + shadowing_row_i
 
-    with ``-inf`` at ``i``, and :meth:`mw` its ``10 ** (dbm / 10)``: element
-    for element the full-matrix formula, so every value is bit-identical to
-    :meth:`matrix`.  One table may serve many media over the same node set
-    (the warm state of :mod:`repro.scenarios.execute`), which then share its
-    rows.
+    with ``-inf`` at ``i``, and its mW row ``10 ** (dbm / 10)``: element for
+    element the full-matrix formula, so every value is bit-identical to
+    :meth:`matrix`.  The medium reads only the mW rows (:meth:`mw`,
+    :meth:`audible`), so a sender's dBm row is built transiently for its mW
+    row and cached only when :meth:`dbm` itself is asked for it.  One table
+    may serve many media over the same node set (the warm state of
+    :mod:`repro.scenarios.execute`), which then share its rows.
     """
 
     __slots__ = ("ids", "shadowing", "_x", "_y", "_tx_power_dbm", "_path_loss",
@@ -172,11 +176,11 @@ class LinkRows:
 
     @property
     def rows_built(self) -> int:
-        """How many senders' rows exist so far."""
-        return sum(row is not None for row in self._dbm)
+        """How many senders have a row (mW, dBm or both) so far."""
+        return sum(mw is not None or dbm is not None for mw, dbm in zip(self._mw, self._dbm))
 
-    def dbm(self, i: int) -> np.ndarray:
-        """Received power (dBm) of node ``i``'s transmission at every node."""
+    def _dbm_row(self, i: int) -> np.ndarray:
+        """Sender ``i``'s dBm row: the cached one, or else a fresh uncached one."""
         row = self._dbm[i]
         if row is None:
             distances = np.hypot(self._x[i] - self._x, self._y[i] - self._y)
@@ -185,6 +189,13 @@ class LinkRows:
             if self.shadowing is not None:
                 row += self.shadowing.row(i)
             row[i] = -np.inf
+        return row
+
+    def dbm(self, i: int) -> np.ndarray:
+        """Received power (dBm) of node ``i``'s transmission at every node."""
+        row = self._dbm[i]
+        if row is None:
+            row = self._dbm_row(i)
             row.flags.writeable = False
             self._dbm[i] = row
         return row
@@ -193,10 +204,28 @@ class LinkRows:
         """:meth:`dbm` in milliwatts (exactly 0 at ``i``)."""
         row = self._mw[i]
         if row is None:
-            row = np.power(10.0, self.dbm(i) / 10.0)
+            row = np.power(10.0, self._dbm_row(i) / 10.0)
             row.flags.writeable = False
             self._mw[i] = row
         return row
+
+    def audible(self, i: int, floor_dbm: float) -> np.ndarray:
+        """``dbm(i) >= floor_dbm`` as a fresh bool row, read off :meth:`mw`.
+
+        An entry outside the 1e-9 relative band of :func:`linear_threshold`
+        around the floor in milliwatts is settled there (``10 ** (x / 10)``
+        errs by ulps, far less than the band); only when some entry falls
+        inside the band is the dBm row consulted, built transiently unless
+        it is cached.
+        """
+        mw = self.mw(i)
+        _, lo, hi = linear_threshold(floor_dbm)
+        audible = mw > hi
+        band = mw >= lo
+        band ^= audible
+        if band.any():
+            audible[band] = self._dbm_row(i)[band] >= floor_dbm
+        return audible
 
     def matrix(self) -> np.ndarray:
         """The full N x N dBm matrix: every row, built where still missing."""
@@ -244,7 +273,7 @@ class Medium:
         "_positions", "_radios", "_index", "_rx_power_cache", "_rows", "_finalized",
         "_noise_floor_mw",
         # per-sender tables
-        "_notify", "_notify_mw", "_gather", "_subfloor_rows", "_subfloor_masks", "_row_built",
+        "_notify", "_notify_mw", "_gather", "_subfloor_masks", "_row_built",
         # per-slot receiver state and reception constants
         "_slot_radios", "_rx_sum_mw", "_cca_sum_mw", "_incoming", "_mutations", "_busy",
         "_lock_tx", "_lock_mw", "_capture_dbm", "_lock_max_mw",
@@ -281,11 +310,11 @@ class Medium:
         self._finalized = False
         # Per-sender tables, built lazily by _sender_tables(): the notify row,
         # its powers in mW, its receiver slots as an index array, and the
-        # sub-floor row and mask (None where every receiver is audible).
+        # sub-floor mask over the sender's mW row (None where every receiver
+        # is audible).
         self._notify: List[Optional[List[tuple]]] = []
         self._notify_mw: List[Optional[List[float]]] = []
         self._gather: List[Optional[np.ndarray]] = []
-        self._subfloor_rows: List[Optional[np.ndarray]] = []
         self._subfloor_masks: List[Optional[np.ndarray]] = []
         self._row_built: List[bool] = []
         # Per-slot receiver state, appended by register().
@@ -449,7 +478,6 @@ class Medium:
         self._notify = [None] * n
         self._notify_mw = [None] * n
         self._gather = [None] * n
-        self._subfloor_rows = [None] * n
         self._subfloor_masks = [None] * n
         self._row_built = [False] * n
         self._finalized = True
@@ -463,26 +491,28 @@ class Medium:
         """The notify row of one sender slot, built (with the sender's other
         tables) on first use.
 
-        The audible set comes from the sender's dBm row against the
-        detectability floor; per-link dBm goes through :func:`linear_to_db`
-        of the milliwatt row (a round trip through linear milliwatts,
-        deliberately NOT the dBm row, whose floats differ in the last ulp).
-        Both conversions run over the audible entries only.
+        The sender's one cached array is its mW row in :class:`LinkRows`;
+        the medium adds only the notify row and, when some receiver lies
+        below the detectability floor, a bool mask of those receivers, over
+        which the sub-floor ops add and subtract that same mW row.  The
+        audible set is :meth:`LinkRows.audible` (the dBm row against the
+        floor); per-link dBm goes through :func:`linear_to_db` of the
+        milliwatt row (a round trip through linear milliwatts, deliberately
+        NOT the dBm row, whose floats differ in the last ulp), over the
+        audible entries only.
         """
         if not self._row_built[slot]:
             rows = self._rows
-            rx_dbm_row = rows.dbm(slot)
             rx_mw_row = rows.mw(slot)
             floor = self.detectability_floor_dbm
             if floor is None:
-                audible = np.ones(len(rx_dbm_row), dtype=bool)
+                audible = np.ones(len(rx_mw_row), dtype=bool)
             else:
-                audible = rx_dbm_row >= floor
+                audible = rows.audible(slot, floor)
             audible[slot] = False  # a sender never hears (or interferes with) itself
             below = ~audible
             below[slot] = False
             if below.any():
-                self._subfloor_rows[slot] = np.where(below, rx_mw_row, 0.0)
                 self._subfloor_masks[slot] = below
                 if not self._subfloor_live:
                     self._go_live()
@@ -544,19 +574,21 @@ class Medium:
     # -- sub-floor vector ops --------------------------------------------------
 
     def _resync_subfloor(self) -> None:
-        """Recompute the active sub-floor vector exactly (bounds float drift)."""
+        """Recompute the active sub-floor vector exactly (bounds float drift).
+
+        Every add and subtract of a sender's sub-floor power runs over its
+        mW row where its mask is set; the entries it skips would have added
+        exactly +0.0 to a non-negative sum, so the masked forms leave the
+        same bits as adding a zero-filled sub-floor row.
+        """
         self._finishes_since_resync = 0
-        if not len(self._subfloor_active_mw):
-            return
-        if not self.active_transmissions:
-            self._subfloor_active_mw[:] = 0.0
-            return
-        total = np.zeros_like(self._subfloor_active_mw)
+        active = self._subfloor_active_mw
+        active.fill(0.0)
         for tx in self.active_transmissions.values():
-            row = self._subfloor_rows[self._index[tx.src]]
-            if row is not None:
-                total += row
-        self._subfloor_active_mw = total
+            slot = self._index[tx.src]
+            below = self._subfloor_masks[slot]
+            if below is not None:
+                np.add(active, self._rows.mw(slot), out=active, where=below)
 
     def _sample_locked_subfloor(self, below: np.ndarray) -> None:
         """Raise the worst-case interference of locked radios that hear the
@@ -565,17 +597,15 @@ class Medium:
         The unpruned path samples it at *every* frame start a locked radio
         sees; one masked op covers the radios the notify row skips.  These
         samples keep their own running max, which the verdict combines with
-        the pass's (max is exact, so the split changes no bit).
+        the pass's (max is exact, so the split changes no bit).  The
+        arithmetic runs over every slot and the mask only picks what is
+        stored: about half the radios hold a lock at a busy frame start, so
+        full-array ops beat gathering and scattering them.
         """
-        mask = self._locked_mask & below
-        if mask.any():
-            interference = (
-                self._locked_above_mw[mask]
-                + self._subfloor_active_mw[mask]
-                - self._locked_power_mw[mask]
-            )
-            np.maximum(self._locked_subfloor_max_mw[mask], interference, out=interference)
-            self._locked_subfloor_max_mw[mask] = interference
+        interference = self._locked_above_mw + self._subfloor_active_mw
+        interference -= self._locked_power_mw
+        peak = self._locked_subfloor_max_mw
+        np.maximum(peak, interference, out=peak, where=self._locked_mask & below)
 
     def _sync_subfloor_busy_edges(self, below: np.ndarray) -> None:
         """Fire busy/idle edges on radios whose CCA verdict was flipped by a
@@ -727,7 +757,8 @@ class Medium:
             row = self._sender_tables(src_slot)
         below = self._subfloor_masks[src_slot]
         if below is not None:
-            self._subfloor_active_mw += self._subfloor_rows[src_slot]
+            active = self._subfloor_active_mw
+            np.add(active, self._rows.mw(src_slot), out=active, where=below)
             self._sample_locked_subfloor(below)
         noise_db = self._cca_noise_db
         cca_powers = self._notify_mw[src_slot] if noise_db is None else []
@@ -809,7 +840,8 @@ class Medium:
         src_slot = self._index[tx.src]
         below = self._subfloor_masks[src_slot]
         if below is not None:
-            self._subfloor_active_mw -= self._subfloor_rows[src_slot]
+            active = self._subfloor_active_mw
+            np.subtract(active, self._rows.mw(src_slot), out=active, where=below)
             self._finishes_since_resync += 1
             if (
                 self._finishes_since_resync >= SUBFLOOR_RESYNC_INTERVAL

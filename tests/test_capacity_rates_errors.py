@@ -6,9 +6,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.capacity.error_models import (
+    _BER_EXACT_ZERO,
+    _LOG_SUCCESS_EXACT_ONE,
+    _MODULATION_BITS,
+    _coded_ber_scalar,
+    _hermegauss,
+    _log_success,
+    _packet_error_rate_kernel,
+    _packet_error_rate_scalar,
+    _saturation_edges,
     average_packet_success_rate,
     ber_bpsk,
     ber_mqam,
@@ -18,6 +27,7 @@ from repro.capacity.error_models import (
     raw_ber,
 )
 from repro.capacity.rates import (
+    ACK_BYTES,
     EXPERIMENT_RATE_SET,
     OFDM_RATES,
     RateInfo,
@@ -26,6 +36,8 @@ from repro.capacity.rates import (
     ofdm_rate_set,
     rate_by_mbps,
 )
+from repro.constants import EXPERIMENT_PAYLOAD_BYTES
+from repro.simulation.mac.csma import _CTS_BYTES, _RTS_BYTES
 
 
 class TestRateTable:
@@ -200,3 +212,99 @@ class TestScalarFastPath:
         rate = rate_by_mbps(24.0)
         snr = rate.min_snr_db + 1.0
         assert packet_success_rate(snr, rate) == 1.0 - packet_error_rate(snr, rate)
+
+
+#: Every payload size the MACs put on the air: data, ACK, RTS and CTS.
+MAC_PAYLOADS = sorted({EXPERIMENT_PAYLOAD_BYTES, ACK_BYTES, _RTS_BYTES, _CTS_BYTES})
+
+
+def _step_ulps(x: float, ulps: int) -> float:
+    direction = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, direction)
+    return x
+
+
+class TestSaturationFastPath:
+    """Beyond a rate's saturation edges the scalar path returns 0.0 or 1.0
+    without the kernel; the kernel must give exactly that value there."""
+
+    @pytest.mark.parametrize("payload", MAC_PAYLOADS)
+    @pytest.mark.parametrize("rate", OFDM_RATES, ids=lambda rate: f"{rate.mbps:g}M")
+    def test_edges_are_past_their_exactness_bounds(self, rate, payload):
+        low, high = _saturation_edges(rate, payload)
+        bits_per_symbol = _MODULATION_BITS[rate.modulation]
+        assert math.isfinite(high) and low < high
+        assert _coded_ber_scalar(high, rate, bits_per_symbol) <= _BER_EXACT_ZERO
+        assert _coded_ber_scalar(_step_ulps(high, -1), rate, bits_per_symbol) > _BER_EXACT_ZERO
+        assert _packet_error_rate_kernel(high, rate, payload) == 0.0
+        bits = 8 * payload
+        if math.isfinite(low):
+            assert _log_success(_coded_ber_scalar(low, rate, bits_per_symbol),
+                                bits) <= _LOG_SUCCESS_EXACT_ONE
+            assert _log_success(_coded_ber_scalar(_step_ulps(low, 1), rate, bits_per_symbol),
+                                bits) > _LOG_SUCCESS_EXACT_ONE
+            assert _packet_error_rate_kernel(low, rate, payload) == 1.0
+        else:
+            # A short frame at a dense rate stays short of the bound even
+            # at the BER of a vanishing SNR: no low edge, no shortcut.
+            assert _log_success(_coded_ber_scalar(-1e6, rate, bits_per_symbol),
+                                bits) > _LOG_SUCCESS_EXACT_ONE
+        if payload == EXPERIMENT_PAYLOAD_BYTES:
+            assert math.isfinite(low)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rate=st.sampled_from(OFDM_RATES),
+        payload=st.sampled_from(MAC_PAYLOADS),
+        which=st.sampled_from([0, 1]),
+        ulps=st.integers(-64, 64),
+        offset_db=st.floats(-60.0, 60.0),
+    )
+    def test_fast_path_equals_the_full_kernel(self, rate, payload, which, ulps, offset_db):
+        edge = _saturation_edges(rate, payload)[which]
+        if not math.isfinite(edge):
+            edge = rate.min_snr_db - 30.0
+        for snr in (edge, _step_ulps(edge, ulps), edge + offset_db):
+            fast = _packet_error_rate_scalar(snr, rate, payload)
+            assert fast == _packet_error_rate_kernel(snr, rate, payload)
+            assert fast == float(packet_error_rate(np.asarray([snr]), rate, payload)[0])
+
+    @pytest.mark.parametrize("payload", MAC_PAYLOADS)
+    def test_far_outside_and_nan(self, payload):
+        for rate in OFDM_RATES:
+            assert _packet_error_rate_scalar(math.inf, rate, payload) == 0.0
+            assert _packet_error_rate_scalar(1e300, rate, payload) == 0.0
+            assert _packet_error_rate_scalar(-math.inf, rate, payload) == \
+                _packet_error_rate_kernel(-math.inf, rate, payload)
+            assert math.isnan(_packet_error_rate_scalar(math.nan, rate, payload))
+
+    def test_unknown_modulation_still_raises(self):
+        with pytest.raises(KeyError, match="modulation"):
+            _packet_error_rate_scalar(10.0, RateInfo(1.0, "OOK", 1.0, 0, 0.0), 1400)
+
+
+class TestQuadratureCache:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mean=st.floats(-20.0, 50.0),
+        sigma=st.floats(0.01, 15.0),
+        rate=st.sampled_from(OFDM_RATES),
+        payload=st.sampled_from(MAC_PAYLOADS),
+        n_points=st.sampled_from([2, 5, 16, 33, 64]),
+    )
+    def test_equals_the_uncached_formula(self, mean, sigma, rate, payload, n_points):
+        nodes, weights = np.polynomial.hermite_e.hermegauss(n_points)
+        success = np.asarray(packet_success_rate(mean + sigma * nodes, rate, payload))
+        expected = float(np.sum(weights * success) / np.sum(weights))
+        got = average_packet_success_rate(mean, rate, payload, sigma_db=sigma,
+                                          n_points=n_points)
+        assert got == expected
+
+    def test_one_read_only_pair_per_size(self):
+        nodes, weights = _hermegauss(33)
+        assert _hermegauss(33)[0] is nodes and _hermegauss(33)[1] is weights
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0

@@ -204,3 +204,22 @@ def test_set_up_allocates_no_square_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2 * n * n * 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=setups(), data=st.data())
+def test_audible_on_the_mw_row_equals_the_dbm_test(setup, data):
+    """Audibility read off the mW row equals ``dbm >= floor`` for floors on,
+    one ulp beside, and far from the row's own values, and builds no dBm
+    row to cache."""
+    ids, positions = setup["ids"], setup["positions"]
+    rows = LinkRows(_prepared_channel(setup), ids, positions)
+    oracle = LinkRows(_prepared_channel(setup), ids, positions)
+    for i in range(len(ids)):
+        dbm = oracle.dbm(i)
+        j = data.draw(st.integers(0, len(ids) - 1).filter(lambda j, i=i: j != i))
+        for floor in (dbm[j], np.nextafter(dbm[j], np.inf), np.nextafter(dbm[j], -np.inf),
+                      dbm[j] + 1e-10, dbm[j] - 1e-10, -5000.0, 100.0):
+            assert np.array_equal(rows.audible(i, float(floor)), dbm >= floor)
+    assert rows._dbm == [None] * len(ids)
+    assert rows.rows_built == len(ids)

@@ -357,7 +357,7 @@ class TestLazyNotifyTables:
         # neighborhood() forces the row; far node is pruned, near one kept.
         assert medium.neighborhood("a") == ["b"]
         assert medium._row_built[0] and not medium._row_built[1]
-        assert medium._subfloor_rows[0] is not None  # c's power folded sub-floor
+        assert medium._subfloor_masks[0].tolist() == [False, False, True]  # c is sub-floor
 
     def test_lazy_and_eager_runs_identical(self):
         """A scenario driven through lazy tables is bit-identical to itself

@@ -85,6 +85,26 @@ def test_nan_attach_range_frac_fails_the_run_instead_of_reading_zero():
         scenario.run()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(("topology", "field"), [
+    ("uniform_disc", "link_range_frac"),
+    ("clustered", "spread_frac"),
+    ("line", "jitter_frac"),
+    ("exposed_terminal", "link_frac"),
+    ("exposed_terminal", "sender_gap_frac"),
+    ("exposed_terminal", "jitter_frac"),
+    ("hidden_terminal", "jitter_frac"),
+    ("grid", "jitter_frac"),
+])
+def test_non_finite_fraction_fails_the_run_naming_the_field(topology, field, value):
+    """A NaN fraction used to place nodes at NaN and run to a silent (and
+    cached) ``total_pps`` of 0; on ``grid`` numpy raised ``OverflowError``."""
+    scenario = Scenario(topology=topology, n_nodes=6, duration_s=0.05,
+                        topology_params={field: value})
+    with pytest.raises(ValueError, match=field):
+        scenario.run()
+
+
 def test_scale_free_grows_hub_degrees():
     placement = generate_topology("scale_free", n_nodes=60, extent=200.0, seed=1)
     indegree: dict = {}
