@@ -1,12 +1,13 @@
 """Benchmark C-1: columnar cache entries vs the JSON flow-dict encoding.
 
 A 200-node scale-free sweep is stored twice: once through the columnar
-:class:`~repro.runner.cache.ResultCache` path (compressed ``.npz`` sidecar
-plus JSON manifest entry -- what the cache actually writes now) and once as
-the JSON flow-dict encoding of the same :class:`~repro.results.ResultSet`
-(per-flow record dicts carrying every column, i.e. what the dict-of-dicts
-pipeline would have to store to persist the same information).  The pinned
-property: the columnar files are at least 3x smaller.
+:class:`~repro.runner.cache.ResultCache` path (a packed ``<key>.bin``
+sidecar, :meth:`~repro.results.ResultSet.pack`, plus a JSON manifest entry)
+and once as the JSON flow-dict encoding of the same
+:class:`~repro.results.ResultSet` (per-flow record dicts carrying every
+column, i.e. what the dict-of-dicts pipeline would have to store to persist
+the same information).  The pinned property: the columnar files are at
+least 3x smaller.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the sweep so the suite stays seconds-scale
 on CI; the ratio assertion holds at either size.
@@ -82,14 +83,13 @@ def test_columnar_cache_is_at_least_3x_smaller_than_flow_dict_json(tmp_path):
 
 
 @pytest.mark.benchmark(min_rounds=1, max_time=2.0, warmup=False)
-def test_columnar_sweep_roundtrip_runtime(benchmark, tmp_path):
-    """Wall time of store+load for the sweep's whole ResultSet (trajectory)."""
+def test_columnar_sweep_roundtrip_runtime(benchmark):
+    """Wall time of the cache's encoding, ``pack`` then ``unpack``, for the
+    sweep's whole ResultSet (trajectory)."""
     results = ResultSet.concat([s.run() for s in sweep_scenarios()])
-    path = tmp_path / "sweep.npz"
 
     def roundtrip():
-        results.save(path)
-        return ResultSet.load(path)
+        return ResultSet.unpack(results.pack())
 
     loaded = benchmark.pedantic(roundtrip, rounds=3, iterations=1)
     assert loaded == results

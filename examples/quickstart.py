@@ -41,8 +41,8 @@ def main() -> None:
     print(f"\nminimum efficiency: {artifact.scalars['minimum_efficiency_percent']:.1f}%"
           " of the optimal MAC (paper: carrier sense is within ~17% everywhere)")
 
-    # 3. Artifacts persist as a JSON manifest plus .npz sidecars and reload
-    #    exactly.
+    # 3. Artifacts persist as a JSON manifest plus packed .bin ResultSet
+    #    sidecars and reload exactly.
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "table-1"
         artifact.save(out)

@@ -7,17 +7,18 @@ equivalence test runs.  This package machine-checks them at the AST level:
 
 * a small rule engine (:mod:`repro.analysis.engine`) walking ``src/repro``
   with per-file :class:`~repro.analysis.context.FileContext` dispatch,
-* 9 project-specific syntactic rules (:mod:`repro.analysis.rules`)
+* 7 project-specific syntactic rules (:mod:`repro.analysis.rules`)
   encoding the invariants the simulator relies on by convention,
 * ``# simlint: disable=<rule>`` suppression comments for justified
   exceptions at the line, and a committed JSON baseline
   (:mod:`repro.analysis.baseline`) for grandfathered findings,
 * text and ``--json`` reporters (:mod:`repro.analysis.report`).
 
-Two invariants a per-file rule cannot see are guarded at runtime instead:
-state carried from one run into the next (``tests/test_replay_invariants.py``
-replays every topology around an unrelated run) and scenario fields the
-result-cache key misses (the same file varies every ``Scenario`` field).
+Three invariants a per-file rule cannot see are guarded at runtime instead,
+in ``tests/test_replay_invariants.py``: state carried from one run into the
+next (it replays every topology around an unrelated run), scenario fields
+the result-cache key misses (it varies every ``Scenario`` field), and any
+change to an existing cache key (it pins literal keys).
 
 Run it as ``python -m repro.analysis check`` (see :mod:`repro.analysis.__main__`)
 or from tests via :func:`run_checks` / :func:`check_source` /

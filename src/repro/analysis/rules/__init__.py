@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import List, Type
 
 from ..engine import Rule
-from .cache_key import CacheKeyStabilityRule
 from .dispatch import RegistryDispatchRule
 from .hygiene import (
     DeterministicDictIterationRule,
@@ -30,7 +29,6 @@ RULE_CLASSES: List[Type[Rule]] = [
     NoUnseededRngRule,
     NoWallClockRule,
     SlotsHotPathRule,
-    CacheKeyStabilityRule,
     RegistryDispatchRule,
     NoMutableDefaultArgsRule,
     NoFloatEqualityRule,

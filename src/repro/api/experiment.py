@@ -15,13 +15,13 @@ holds only plugins::
 
     artifact = EXPERIMENTS["table-1"].run(n_samples=5000)
     artifact.scalars["minimum_efficiency_percent"]
-    artifact.save("out/table-1")  # manifest.json + .npz sidecars
+    artifact.save("out/table-1")  # manifest.json + .bin sidecars
 
 An :class:`Artifact` is the typed output model: named **tables** (JSON-able
 mappings/lists), named **series** (curve/scatter payloads, summarised rather
 than dumped when printing), attached :class:`~repro.results.ResultSet`\\ s
-(persisted as compressed ``.npz`` sidecars, the :meth:`ResultSet.save`
-form), free-form **notes**, and a JSON **manifest** tying it
+(persisted as ``.bin`` sidecars in the packed form of
+:meth:`ResultSet.save`), free-form **notes**, and a JSON **manifest** tying it
 together.  ``save``/``load`` round-trip an artifact through a directory, so
 experiment outputs become cacheable, diffable files instead of transient
 dicts.
@@ -55,7 +55,9 @@ __all__ = [
     "parse_overrides",
 ]
 
-MANIFEST_SCHEMA = 1
+#: Schema 2 stores result sets as packed ``.bin`` sidecars; schema 1 (the
+#: ``.npz`` sidecars) is not read.
+MANIFEST_SCHEMA = 2
 
 #: Values accepted (case-insensitively) as ``None`` in ``--set`` overrides.
 _NONE_WORDS = ("none", "null", "off")
@@ -275,7 +277,7 @@ _SAFE_NAME = re.compile(r"[^A-Za-z0-9._-]+")
 
 
 def _sidecar_name(name: str) -> str:
-    return f"{_SAFE_NAME.sub('-', name) or 'results'}.npz"
+    return f"{_SAFE_NAME.sub('-', name) or 'results'}.bin"
 
 
 # -- artifact --------------------------------------------------------------------
@@ -296,8 +298,8 @@ class Artifact:
         but *summarised* when printing (a figure's raw samples are data, not
         terminal output).
     result_sets:
-        Name -> :class:`~repro.results.ResultSet`, persisted as compressed
-        ``.npz`` sidecars next to the manifest.
+        Name -> :class:`~repro.results.ResultSet`, persisted as packed
+        ``.bin`` sidecars next to the manifest.
     notes:
         Free-form annotations, in insertion order.
     extras:
@@ -359,7 +361,7 @@ class Artifact:
         }
 
     def save(self, out_dir: Any) -> Path:
-        """Write ``manifest.json`` plus one ``.npz`` sidecar per result set.
+        """Write ``manifest.json`` plus one ``.bin`` sidecar per result set.
 
         Returns the manifest path.  ``extras`` are not persisted (the
         manifest records their names so a reader knows what was dropped).
@@ -383,7 +385,10 @@ class Artifact:
             manifest_path = manifest_path / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         if manifest.get("schema") != MANIFEST_SCHEMA:
-            raise ValueError(f"unsupported artifact schema {manifest.get('schema')!r}")
+            raise ValueError(
+                f"unsupported artifact schema {manifest.get('schema')!r} "
+                f"(this version reads schema {MANIFEST_SCHEMA}); re-run the experiment"
+            )
         result_sets = {
             name: ResultSet.load(manifest_path.parent / entry["file"])
             for name, entry in manifest.get("result_sets", {}).items()

@@ -7,22 +7,16 @@ fraction, the mean sensed-busy fraction across all radios, and delay
 p50/p99 drawn from bounded per-window reservoirs installed next to
 :class:`~repro.simulation.stats.NodeStats`.
 
-Two service modes share all of the measurement code:
-
-* **stepped** -- a driver (:class:`repro.control.env.SimEnv`) runs the
-  engine between epoch boundaries with :meth:`Simulator.run_until` and calls
-  :meth:`collect` in the gaps.  No events are scheduled, so a run observed
-  this way (with a no-op controller) replays the unobserved run
-  byte-identically -- per-flow results *and* ``events_processed``.
-* **embedded** -- :meth:`arm` services the probe on the engine's own clock
-  through one reusable slab :class:`~repro.simulation.engine.Timer` (one
-  slot for the whole run), for callers that want a closed loop inside a
-  free-running simulation.
+A driver (:class:`repro.control.env.SimEnv`) runs the engine between epoch
+boundaries with :meth:`Simulator.run_until` and calls :meth:`collect` in the
+gaps.  The probe schedules no events, so a run observed this way (with a
+no-op controller) replays the unobserved run byte-identically -- per-flow
+results *and* ``events_processed``.
 
 Determinism: the probe only *reads* cumulative counters the simulation
 already maintains (snapshot deltas per window) and drains per-window delay
 reservoirs whose replacement streams are privately seeded from the link
-identity -- it consumes no simulation randomness in either mode.
+identity -- it consumes no simulation randomness.
 """
 
 from __future__ import annotations
@@ -30,23 +24,12 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import asdict, dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Hashable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..capacity.adaptation import FixedRate
 from ..capacity.rates import OFDM_RATES, RateInfo
-from ..simulation.engine import Timer
 from ..simulation.network import WirelessNetwork
 from ..simulation.stats import DelayReservoir
 
@@ -133,10 +116,6 @@ class ControlProbe:
         "_prev_offered",
         "_prev_sent",
         "_prev_busy",
-        "_timer",
-        "_end_time",
-        "_controller",
-        "_on_observation",
     )
 
     def __init__(
@@ -170,10 +149,6 @@ class ControlProbe:
         self._prev_offered: List[int] = []
         self._prev_sent: List[int] = []
         self._prev_busy: List[float] = []
-        self._timer: Optional[Timer] = None
-        self._end_time = 0.0
-        self._controller: Optional[Any] = None
-        self._on_observation: Optional[Callable[[Observation], None]] = None
 
     # -- installation ----------------------------------------------------------
 
@@ -372,43 +347,3 @@ class ControlProbe:
                 bumped = max(0, min(top, index + step))
                 if bumped != index:
                     node.mac.rate_selector = FixedRate(OFDM_RATES[bumped])
-
-    # -- embedded (timer-serviced) mode ----------------------------------------
-
-    def arm(
-        self,
-        end_time: float,
-        controller: Optional[Any] = None,
-        on_observation: Optional[Callable[[Observation], None]] = None,
-    ) -> None:
-        """Service epochs on the engine's clock through one reusable Timer.
-
-        Call after :meth:`install`.  Each firing closes the window, hands
-        the observation to ``on_observation`` (if any), and applies the
-        ``controller``'s action before the next window opens.  This mode
-        adds one engine event per epoch (all through a single recycled slab
-        slot), so it is for *embedded* closed loops; stepped drivers use
-        :meth:`collect` between ``run_until`` segments instead and add none.
-        """
-        if self._timer is None:
-            self._timer = self.net.sim.timer()
-        self._end_time = float(end_time)
-        self._controller = controller
-        self._on_observation = on_observation
-        self._arm_next()
-
-    def _arm_next(self) -> None:
-        target = min(self.next_boundary(), self._end_time)
-        if target <= self.net.sim.now:
-            return
-        assert self._timer is not None
-        self._timer.arm_at(target, self._on_epoch)
-
-    def _on_epoch(self) -> None:
-        observation = self.collect()
-        if self._on_observation is not None:
-            self._on_observation(observation)
-        if self._controller is not None:
-            self.apply(self._controller.decide(observation))
-        if self.net.sim.now < self._end_time:
-            self._arm_next()

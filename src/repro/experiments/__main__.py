@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--json", action="store_true",
                             help="print artifact manifests as JSON instead of text")
     run_parser.add_argument("--out", default=None, metavar="DIR",
-                            help="save each artifact (manifest.json + .npz "
+                            help="save each artifact (manifest.json + .bin "
                                  "sidecars) under DIR/<experiment-id>/")
     return parser
 

@@ -194,7 +194,7 @@ def _sweep(
     result = ExperimentResult(EXPERIMENT_ID, "Scenario sweep")
     result.data["sweep"] = study_run.aggregate()
     # The whole sweep as one typed columnar ResultSet: the artifact persists
-    # it as an .npz sidecar; the text summary prints its short repr.
+    # it as a packed .bin sidecar; the text summary prints its short repr.
     result.data["results"] = results
     if study_run.failures:
         # Machine-readable manifest of every failed task (only reachable

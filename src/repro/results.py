@@ -13,17 +13,13 @@ concatenates.  Flow columns are attributes (``rs.delivered_pps``) or
 (``rs.scenarios[0]["total_pps"]``); :meth:`to_flow_records` gives the
 row-oriented JSON-able form.
 
-A ResultSet has two binary forms:
-
-* :meth:`pack` / :meth:`unpack`: one zlib-compressed buffer of a JSON header
-  (:meth:`manifest` plus the node-name dtype) and the raw column bytes.  The
-  :class:`repro.runner.cache.ResultCache` stores scenario results this way,
-  with a JSON manifest entry next to the sidecar; a hit is one decompress
-  and one JSON parse.
-* :meth:`save` / :meth:`load` and :meth:`to_bytes` / :meth:`from_bytes`: a
-  compressed ``.npz`` of the columns with the manifest embedded as UTF-8
-  bytes.  Experiment artifacts use it, and result digests hash
-  :meth:`to_bytes`.
+A ResultSet is stored in one form: :meth:`pack` / :meth:`unpack`, one
+zlib-compressed buffer of a JSON header (:meth:`manifest` plus the node-name
+dtype) and the raw column bytes.  The :class:`repro.runner.cache.ResultCache`
+sidecars and the experiment-artifact sidecars (:meth:`save` / :meth:`load`)
+both hold it, so a read is one decompress and one JSON parse.
+:meth:`to_bytes` is a digest-only form with no reader: the pinned result
+digests hash it.
 
 Columnar storage is what shrinks both cache files and worker->parent pipe
 traffic on large sweeps (the arrays pickle as flat buffers).
@@ -42,6 +38,7 @@ import math
 import re
 import struct
 import zlib
+from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -414,54 +411,33 @@ class ResultSet:
             "scenarios": self.scenarios,
         }
 
-    def _arrays(self) -> Dict[str, np.ndarray]:
-        manifest_bytes = json.dumps(self.manifest(), sort_keys=True).encode("utf-8")
-        return {
-            "manifest": np.frombuffer(manifest_bytes, dtype=np.uint8),
-            "node_names": self.node_names,
-            "src_code": self.src_code,
-            "dst_code": self.dst_code,
-            "scenario_idx": self.scenario_idx,
-            **{name: getattr(self, name) for name in _FLOAT_COLUMNS + _INT_COLUMNS},
-        }
-
     def save(self, path: Any) -> None:
-        """Write the compact binary form: a compressed ``.npz`` of columns
-        plus the JSON manifest embedded as UTF-8 bytes."""
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **self._arrays())
-
-    def to_bytes(self) -> bytes:
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **self._arrays())
-        return buffer.getvalue()
-
-    @classmethod
-    def _from_npz(cls, data: Mapping[str, np.ndarray]) -> "ResultSet":
-        manifest = json.loads(bytes(data["manifest"]).decode("utf-8"))
-        if manifest.get("schema") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported ResultSet schema {manifest.get('schema')!r}")
-        # Columns added after a file was written (the schema is additive
-        # within one version) fall back to their "not measured" sentinels,
-        # so old cache entries keep loading.
-        return cls(
-            node_names=data["node_names"],
-            src_code=data["src_code"],
-            dst_code=data["dst_code"],
-            scenario_idx=data["scenario_idx"],
-            scenarios=manifest["scenarios"],
-            **{name: data[name] for name in _FLOAT_COLUMNS + _INT_COLUMNS if name in data},
-        )
+        """Write :meth:`pack` output to ``path``."""
+        Path(path).write_bytes(self.pack())
 
     @classmethod
     def load(cls, path: Any) -> "ResultSet":
-        with np.load(path) as data:
-            return cls._from_npz(data)
+        """Read a file written by :meth:`save`."""
+        return cls.unpack(Path(path).read_bytes())
 
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "ResultSet":
-        with np.load(io.BytesIO(payload)) as data:
-            return cls._from_npz(data)
+    def to_bytes(self) -> bytes:
+        """A compressed ``.npz`` of the columns and the JSON manifest.
+
+        Digest-only: the pinned result digests hash these bytes, and nothing
+        reads them back.  Stored results use :meth:`pack`.
+        """
+        manifest_bytes = json.dumps(self.manifest(), sort_keys=True).encode("utf-8")
+        buffer = io.BytesIO()
+        np.savez_compressed(
+            buffer,
+            manifest=np.frombuffer(manifest_bytes, dtype=np.uint8),
+            node_names=self.node_names,
+            src_code=self.src_code,
+            dst_code=self.dst_code,
+            scenario_idx=self.scenario_idx,
+            **{name: getattr(self, name) for name in _FLOAT_COLUMNS + _INT_COLUMNS},
+        )
+        return buffer.getvalue()
 
     def pack(self) -> bytes:
         """The result cache's encoding: one zlib-compressed buffer.
@@ -470,8 +446,7 @@ class ResultSet:
         JSON header (:meth:`manifest` plus the ``node_names`` dtype and
         count), then the raw little-endian bytes of ``node_names`` and of
         each column, in the header's ``columns`` order.  :meth:`unpack` reads
-        it back with one decompress and one JSON parse.  :meth:`to_bytes` is
-        the ``.npz`` form that digests and artifacts use.
+        it back with one decompress and one JSON parse.
         """
         if self.node_names.dtype.kind != "U":
             raise ValueError(f"node names must be strings to pack, not {self.node_names.dtype}")
@@ -491,8 +466,9 @@ class ResultSet:
         Only the dtypes :meth:`pack` writes are accepted, so no object array
         is ever built, and the body must hold exactly the declared columns.
         Each column is copied out of the buffer, so it owns its memory and is
-        writeable, as ``np.load``'s arrays are.  Columns missing from the
-        header fall back to their sentinels, as in :meth:`_from_npz`.
+        writeable.  Columns added after a buffer was written (the schema is
+        additive within one version) are missing from its header and fall
+        back to their "not measured" sentinels.
         """
         inflate = zlib.decompressobj()
         try:

@@ -17,12 +17,10 @@ Two result encodings share the store:
   compress far better as typed columns than as per-flow dict text, and a
   hit costs one file read, one decompress and one JSON parse.
 
-The manifest records the sidecar's ``format``.  ``"packed/1"`` is what
-:meth:`ResultCache.put` writes; ``"npz/1"`` entries (a ``<hash>.npz``
-sidecar, :meth:`~repro.results.ResultSet.save` form) written by older
-versions still load, so existing caches keep hitting.  A sidecar that is
-missing, corrupt or of an unknown format evicts the entry, and the task
-re-executes.
+The manifest records the sidecar's ``format``, ``"packed/1"``.  A sidecar
+that is missing, corrupt or of any other format (such as the ``.npz``
+sidecars older versions wrote) evicts the entry with every file it left, and
+the task re-executes.
 
 A scenario entry written before the columnar format (an inline dict) is
 returned as stored; :meth:`repro.results.ResultSet.concat` rejects it with a
@@ -46,10 +44,8 @@ __all__ = ["config_hash", "ResultCache"]
 #: Marker key identifying a JSON entry whose result lives in a binary sidecar.
 RESULTSET_MARKER = "__repro_resultset__"
 
-#: The sidecar format :meth:`ResultCache.put` writes.
+#: The sidecar format :meth:`ResultCache.put` writes, and the only one read.
 PACKED_FORMAT = "packed/1"
-#: The older ``.npz`` sidecar format, still read.
-NPZ_FORMAT = "npz/1"
 
 
 def _canonical(obj: Any) -> Any:
@@ -94,12 +90,10 @@ class ResultCache:
     def _binary_path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.bin"
 
-    def _npz_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.npz"
-
     def _evict(self, key: str) -> None:
-        """Drop every file of a corrupt entry so the next ``put`` rewrites it."""
-        for path in (self._path(key), self._binary_path(key), self._npz_path(key)):
+        """Drop every ``<key>.*`` file of an unusable entry so the next
+        ``put`` rewrites it."""
+        for path in self._path(key).parent.glob(f"{key}.*"):
             try:
                 path.unlink()
             except FileNotFoundError:
@@ -131,11 +125,10 @@ class ResultCache:
             try:
                 entry["result"] = self._load_sidecar(key, marker[RESULTSET_MARKER])
             except Exception:  # noqa: BLE001 -- any unreadable sidecar poisons the key
-                # Missing, truncated, or corrupt sidecar (OSError, ValueError
-                # from ``unpack``; np.load raises a zoo: KeyError, EOFError,
-                # zipfile.BadZipFile, ...): the entry is unusable as a
-                # whole, and anything short of eviction would poison every
-                # future run of the sweep.
+                # Missing, truncated, corrupt or unknown-format sidecar
+                # (OSError, ValueError from ``unpack``): the entry is
+                # unusable as a whole, and anything short of eviction would
+                # poison every future run of the sweep.
                 self._evict(key)
                 self.misses += 1
                 return None
@@ -145,12 +138,9 @@ class ResultCache:
     def _load_sidecar(self, key: str, marker: Any) -> ResultSet:
         """The ResultSet in ``key``'s sidecar, read as its manifest says."""
         fmt = marker.get("format") if isinstance(marker, dict) else None
-        if fmt == PACKED_FORMAT:
-            with open(self._binary_path(key), "rb") as handle:
-                return ResultSet.unpack(handle.read())
-        if fmt == NPZ_FORMAT:
-            return ResultSet.load(self._npz_path(key))
-        raise ValueError(f"unknown ResultSet sidecar format {fmt!r}")
+        if fmt != PACKED_FORMAT:
+            raise ValueError(f"unknown ResultSet sidecar format {fmt!r}")
+        return ResultSet.load(self._binary_path(key))
 
     def get_result(self, key: str) -> Optional[Any]:
         entry = self.get(key)

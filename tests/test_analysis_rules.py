@@ -475,66 +475,6 @@ def test_slots_rule_accepts_slotted_controller_in_control_scope():
     )
 
 
-# -- cache-key-stability -----------------------------------------------------
-
-
-def test_cache_key_rule_fires_on_unhandled_optional_field():
-    findings = _lint(
-        """
-        from dataclasses import dataclass
-        from typing import Optional
-
-        @dataclass(slots=True)
-        class Scenario:
-            n_nodes: int = 2
-            margin_db: Optional[float] = None
-
-            def as_config(self):
-                return {"n_nodes": self.n_nodes}
-        """,
-        module="repro.scenarios.fixture",
-    )
-    assert any(
-        f.rule == "cache-key-stability" and "margin_db" in f.snippet
-        for f in findings
-    )
-
-
-def test_cache_key_rule_accepts_field_mentioned_in_as_config():
-    assert "cache-key-stability" not in _rules_fired(
-        """
-        from dataclasses import dataclass
-        from typing import Optional
-
-        @dataclass(slots=True)
-        class Scenario:
-            n_nodes: int = 2
-            margin_db: Optional[float] = None
-
-            def as_config(self):
-                config = {"n_nodes": self.n_nodes}
-                if self.margin_db is not None:
-                    config["margin_db"] = self.margin_db
-                return config
-        """,
-        module="repro.scenarios.fixture",
-    )
-
-
-def test_cache_key_rule_ignores_classes_without_as_config():
-    assert "cache-key-stability" not in _rules_fired(
-        """
-        from dataclasses import dataclass
-        from typing import Optional
-
-        @dataclass(slots=True)
-        class Helper:
-            margin_db: Optional[float] = None
-        """,
-        module="repro.scenarios.fixture",
-    )
-
-
 # -- registry-dispatch -------------------------------------------------------
 
 
@@ -718,16 +658,19 @@ def test_rules_have_unique_names_and_descriptions():
     rules = default_rules()
     names = [rule.name for rule in rules]
     assert len(names) == len(set(names))
-    assert len(names) >= 8
+    assert len(names) >= 7
     for rule in rules:
         assert isinstance(rule, Rule)
         assert rule.name and rule.description and rule.scopes
 
 
 def test_retired_flow_rule_names_are_unregistered():
-    """The whole-program rules are gone: no registered rule carries their
-    names, and a suppression that still names one is reported as unknown."""
-    retired = {"seed-provenance", "determinism-reachability", "cache-key-soundness"}
+    """The whole-program rules and ``cache-key-stability`` (replaced by the
+    pinned keys of ``tests/test_replay_invariants.py``) are gone: no
+    registered rule carries their names, and a suppression that still names
+    one is reported as unknown."""
+    retired = {"seed-provenance", "determinism-reachability", "cache-key-soundness",
+               "cache-key-stability"}
     assert not retired & {rule.name for rule in default_rules()}
     findings = _lint(
         """

@@ -99,7 +99,7 @@ def test_cli_json_report_shape(capsys):
     assert code == 0
     assert payload["clean"] is True
     assert payload["checked_files"] > 50
-    assert len(payload["rules"]) >= 8
+    assert len(payload["rules"]) >= 7
     assert payload["new"] == []
 
 

@@ -232,10 +232,24 @@ class TestArtifactRoundTrip:
         assert isinstance(rs, ResultSet) and rs.n_scenarios == 1
         manifest_path = artifact.save(tmp_path / "sweep")
         assert manifest_path.name == "manifest.json"
-        assert (tmp_path / "sweep" / "results.npz").exists()
+        assert (tmp_path / "sweep" / "results.bin").read_bytes() == rs.pack()
         loaded = Artifact.load(manifest_path)
         assert loaded.result_sets["results"] == rs
         assert loaded == artifact
+
+    def test_schema_1_artifact_is_rejected_by_name(self, tmp_path):
+        """A schema-1 directory (``.npz`` sidecars) raises ``ValueError``
+        naming its schema, not an error from deep inside the decoder."""
+        rs = ResultSet.from_flows({"name": "x"}, [("a", "b")], delivered_pps=[1.0])
+        manifest_path = Artifact("x", "X", result_sets={"results": rs}).save(tmp_path)
+        manifest = json.loads(manifest_path.read_text())
+        manifest["schema"] = 1
+        manifest["result_sets"]["results"]["file"] = "results.npz"
+        manifest_path.write_text(json.dumps(manifest))
+        (tmp_path / "results.bin").unlink()
+        (tmp_path / "results.npz").write_bytes(rs.to_bytes())
+        with pytest.raises(ValueError, match="unsupported artifact schema 1"):
+            Artifact.load(tmp_path)
 
     def test_extras_are_not_persisted_but_recorded(self, tmp_path):
         artifact = EXPERIMENTS["section-5"].run(**REDUCED["section-5"])

@@ -1,9 +1,14 @@
-"""Runtime guards for two replay invariants no per-file lint rule can see.
+"""Runtime guards for three replay invariants no per-file lint rule can see.
 
 * **Every scenario field reaches the cache key.**  Two scenarios differing
   in any one field must hash to different result-cache keys, and the
   plain-dict form must rebuild the same spec; otherwise the cache would
   serve one scenario's results for the other.
+* **Existing cache keys never change.**  Literal keys are pinned for the
+  default spec and for one spec per field group that ``as_config()`` omits
+  while unset, so a new field emitted as ``None``, or any other change to
+  the key of a scenario that already ran, fails until it is re-pinned on
+  purpose.  Otherwise every result cache on disk would silently re-execute.
 * **No state survives from one run into the next.**  A module-level cache
   or counter that a run writes and a later run reads makes results depend
   on what ran before them in the same process (a warm worker, a sweep).
@@ -11,8 +16,8 @@
   ``ResultSet``s.
 
 Each check also runs against a fault planted with ``monkeypatch`` (a field
-dropped from ``as_config()``, a memo shared across runs), so a check that
-stops seeing its fault fails here too.
+dropped from ``as_config()``, an extra ``None`` key in it, a memo shared
+across runs), so a check that stops seeing its fault fails here too.
 """
 
 from __future__ import annotations
@@ -120,6 +125,66 @@ def test_cache_key_check_passes_fields_still_in_as_config(monkeypatch):
     topology builder reads that ``as_config()`` still covers."""
     _drop_from_as_config(monkeypatch, "topology_params")
     assert _cache_key_faults(["topology", "n_nodes", "extent_m", "seed"]) == ([], [])
+
+
+#: Spec -> its pinned ``scenario_task(spec).cache_key``: the default spec,
+#: then one spec per group of fields ``as_config()`` omits while unset.
+PINNED_KEYS = {
+    "default": (
+        Scenario(),
+        "3589a4e50c60adaddedfb462827c364f5bbd7f7623735c9304e497db9fed63be",
+    ),
+    "routing": (
+        Scenario(routing="shortest_path", queue_capacity=8),
+        "8e37b0d701e145032f7f10dd1391b8242a4c61a6df61d34a09079b12b1eb4f7d",
+    ),
+    "controller": (
+        Scenario(controller="hysteresis", control_epoch_s=0.01),
+        "517cc3fe63dd7c40633bcc0d72750d8bbae491eeb935ea256389b83efa477469",
+    ),
+    "traffic_params": (
+        Scenario(traffic="poisson", traffic_params={"queue_limit": 50}),
+        "a4d412402771f42cb8d172c6b23d3b79fb4c334567c7dfd7690bb452cceb6bd4",
+    ),
+    "mac_params": (
+        Scenario(mac_params={"cw_min": 31}),
+        "2fd257237073cbcb7b56a3f913c5c5598d39741aaeb4fb2377f5a520fe32b20a",
+    ),
+    "routing_params": (
+        Scenario(routing="shortest_path", routing_params={"link_margin_db": 3.0}),
+        "7560053a9cfed4606bd9cabd1567b9cadcfdb3c04d39a4f61c57e080f4fc44dc",
+    ),
+    "controller_params": (
+        Scenario(controller="hysteresis", controller_params={"step_db": 2.0}),
+        "1902cb325d28f27f6d387495fd1bf2cd116929e356098c661a55b18e93d097ec",
+    ),
+}
+
+
+def _changed_keys():
+    """Names of the pinned specs whose cache key no longer matches its pin."""
+    return [
+        name for name, (spec, key) in PINNED_KEYS.items()
+        if scenario_task(spec).cache_key != key
+    ]
+
+
+def test_pinned_cache_keys_unchanged():
+    assert _changed_keys() == [], "cache keys changed: every cached result would re-execute"
+
+
+def test_cache_key_pin_catches_extra_none_key(monkeypatch):
+    """A new field emitted as ``None`` instead of omitted while unset
+    changes the key of every spec."""
+    shipped = Scenario.as_config
+
+    def as_config(self):
+        config = shipped(self)
+        config["new_field"] = None
+        return config
+
+    monkeypatch.setattr(Scenario, "as_config", as_config)
+    assert _changed_keys() == list(PINNED_KEYS)
 
 
 def _replay_mismatches():

@@ -79,30 +79,31 @@ class TestRoundTripFidelity:
         "scenario", ALL_TOPOLOGY_SCENARIOS, ids=lambda s: s.topology
     )
     def test_bytes_round_trip_every_topology(self, scenario):
-        """``from_bytes(to_bytes(x)) == x`` and the bytes are reproducible."""
+        """``unpack(pack(x)) == x``, its digest bytes equal, and the packed
+        bytes are reproducible."""
         rs = scenario.run()
-        payload = rs.to_bytes()
-        assert ResultSet.from_bytes(payload) == rs
-        assert ResultSet.from_bytes(payload).to_bytes() == payload
+        blob = rs.pack()
+        assert ResultSet.unpack(blob) == rs
+        assert ResultSet.unpack(blob).to_bytes() == rs.to_bytes()
+        assert ResultSet.unpack(blob).pack() == blob
         assert [record["delivered_pps"] for record in rs.to_flow_records()] == (
             rs.delivered_pps.tolist()
         )
 
     def test_binary_round_trip_lossless(self, tmp_path):
         rs = ResultSet.concat([s.run() for s in ALL_TOPOLOGY_SCENARIOS[:3]])
-        path = tmp_path / "sweep.npz"
+        path = tmp_path / "sweep.bin"
         rs.save(path)
+        assert path.read_bytes() == rs.pack()
         assert ResultSet.load(path) == rs
-        assert ResultSet.from_bytes(rs.to_bytes()) == rs
 
     def test_nan_scenario_metadata_equals_its_round_trips(self):
         """NaN in scenario metadata equals NaN, so a set read back from its
-        bytes or its packed cache form equals the set that was written."""
+        packed form equals the set that was written."""
         nan = float("nan")
         for meta in ({"name": "x", "delay": nan},
                      {"name": "x", "control": [{"delay": nan, "pps": 1.0}], "seed": 3}):
             rs = ResultSet.from_flows(meta, [("a", "b")], delivered_pps=[1.0])
-            assert ResultSet.from_bytes(rs.to_bytes()) == rs
             assert ResultSet.unpack(rs.pack()) == rs
         nan_set = ResultSet.from_flows({"name": "x", "delay": nan}, [("a", "b")],
                                        delivered_pps=[1.0])
@@ -226,14 +227,18 @@ def repack(blob, header=None, body=None):
 
 
 def write_npz_entry(cache, task, result):
-    """Store ``result`` as the ``npz/1`` cache format did: ``.npz`` + manifest."""
+    """Store ``result`` as the retired ``npz/1`` cache format did: a
+    ``<key>.npz`` sidecar (the bytes :meth:`ResultSet.to_bytes` still
+    digests) plus a manifest entry pointing at it.  Returns the sidecar."""
     path = cache._path(task.cache_key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    result.save(cache._npz_path(task.cache_key))
-    marker = {"format": "npz/1", "file": cache._npz_path(task.cache_key).name,
+    sidecar = path.with_suffix(".npz")
+    sidecar.write_bytes(result.to_bytes())
+    marker = {"format": "npz/1", "file": sidecar.name,
               "n_flows": result.n_flows, "n_scenarios": result.n_scenarios}
     path.write_text(json.dumps({"key": task.cache_key, "config": task.config,
                                 "result": {"__repro_resultset__": marker}}))
+    return sidecar
 
 
 #: Ways to break a packed ResultSet; each must make ``unpack`` raise ValueError.
@@ -388,24 +393,30 @@ class TestCacheIntegration:
         assert retry.report.executed == 1
         assert retry.results == first.results
 
-    def test_legacy_npz_entry_still_hits(self, tmp_path):
-        """An entry written the ``npz/1`` way (``.npz`` sidecar) keeps hitting."""
+    def test_legacy_npz_entry_evicts_and_reexecutes(self, tmp_path):
+        """An entry written the retired ``npz/1`` way misses like any unknown
+        format, leaves no ``.npz`` behind, and the re-put entry hits."""
         cache = ResultCache(tmp_path / "cache")
         task = scenario_task(ALL_TOPOLOGY_SCENARIOS[0])
         result = ALL_TOPOLOGY_SCENARIOS[0].run()
-        write_npz_entry(cache, task, result)
+        sidecar = write_npz_entry(cache, task, result)
+        rerun = BatchRunner(workers=0, cache=cache).run([task])
+        assert rerun.report.executed == 1 and rerun.report.cache_hits == 0
+        assert not sidecar.exists()
+        assert list((tmp_path / "cache").rglob("*.npz")) == []
         replay = BatchRunner(workers=0, cache=cache).run([task])
         assert replay.report.cache_hits == 1
         assert replay.results == [result]
 
     @pytest.mark.parametrize("legacy", [False, True], ids=["packed", "npz"])
     def test_eviction_removes_whichever_sidecar_exists(self, tmp_path, legacy):
+        """A corrupt manifest evicts the entry's sidecar, packed or a retired
+        ``npz/1`` one, leaving no ``<key>.*`` file behind."""
         cache = ResultCache(tmp_path / "cache")
         task = scenario_task(ALL_TOPOLOGY_SCENARIOS[0])
         result = ALL_TOPOLOGY_SCENARIOS[0].run()
         if legacy:
-            write_npz_entry(cache, task, result)
-            sidecar = cache._npz_path(task.cache_key)
+            sidecar = write_npz_entry(cache, task, result)
         else:
             cache.put(task.cache_key, {"fn": task.fn, "config": task.config}, result)
             sidecar = cache._binary_path(task.cache_key)
