@@ -1,4 +1,4 @@
-"""Shared fixtures for the benchmark harness.
+"""Conventions of the benchmark harness.
 
 Each benchmark file regenerates one of the paper's tables or figures (at a
 reduced-but-representative scale so the whole suite stays runnable) and
@@ -6,15 +6,3 @@ asserts the *shape* of the result: who wins, by roughly what factor, and
 where the crossovers fall.  Absolute numbers are recorded by pytest-benchmark
 for regression tracking.
 """
-
-from __future__ import annotations
-
-import pytest
-
-from repro.testbed.layout import generate_office_layout
-
-
-@pytest.fixture(scope="session")
-def office_layout():
-    """The default synthetic testbed, shared by the testbed benchmarks."""
-    return generate_office_layout(seed=7)

@@ -8,11 +8,10 @@ from repro.experiments import section5_exposed_terminals
 
 
 @pytest.mark.benchmark(min_rounds=1, max_time=1.0, warmup=False)
-def test_section5_exposed_terminal_study(benchmark, office_layout):
+def test_section5_exposed_terminal_study(benchmark):
     result = benchmark.pedantic(
         section5_exposed_terminals.run,
         kwargs={
-            "layout": office_layout,
             "n_combinations": 6,
             "run_duration_s": 1.0,
             "rates_mbps": (6.0, 12.0, 24.0),

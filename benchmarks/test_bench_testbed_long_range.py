@@ -14,12 +14,11 @@ from repro.experiments import testbed_section4
 
 
 @pytest.mark.benchmark(min_rounds=1, max_time=1.0, warmup=False)
-def test_long_range_campaign(benchmark, office_layout):
+def test_long_range_campaign(benchmark):
     result = benchmark.pedantic(
         testbed_section4.run,
         kwargs={
             "link_class": "long",
-            "layout": office_layout,
             "n_combinations": 6,
             "run_duration_s": 1.0,
             "rates_mbps": (6.0, 12.0, 24.0),

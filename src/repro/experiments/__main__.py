@@ -10,12 +10,10 @@ registry (tags, typed parameters, artifact outputs)::
     python -m repro.experiments run --tag ablation --out out/  # save artifacts
     python -m repro.experiments run figure-04 --json    # print the manifest
     python -m repro.experiments run --all --full        # include the slow campaigns
+    python -m repro.experiments run run-scenarios --set topology=scale_free --set nodes=50
 
-``run-scenarios`` also takes its sweep as flags, the one form that prints a
-progress heartbeat to stderr (same cache keys, same summary as
-``run run-scenarios --set ...``)::
-
-    python -m repro.experiments run-scenarios --topology scale_free --nodes 50 --workers 4
+Bad parameters print ``<id>: <message>`` to stderr and exit 1 before any
+task runs; ``run-scenarios`` prints a progress heartbeat to stderr.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ def _select(
         for name in EXPERIMENTS:
             experiment = EXPERIMENTS[name]
             if "sweep" in experiment.tags:
-                continue  # run-scenarios has its own grammar and a config-sized grid
+                continue  # run-scenarios sweeps whatever grid --set names
             if not full and "slow" in experiment.tags:
                 continue
             if name not in names:
@@ -67,7 +65,7 @@ def _out_dir(base: str, experiment_id: str) -> Path:
     return Path(base) / experiment_id.replace("/", "-")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description=__doc__,
@@ -196,13 +194,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args_in = list(sys.argv[1:] if argv is None else argv)
-    if args_in[:1] == ["run-scenarios"]:
-        # The scenario sweep's flag grammar; delegate wholesale.
-        from .run_scenarios import main as run_scenarios_main
-
-        return run_scenarios_main(args_in[1:])
-    args = _build_parser().parse_args(args_in)
+    args = _parser().parse_args(argv)
     commands = {"list": _cmd_list, "describe": _cmd_describe, "run": _cmd_run}
     return commands[args.command](args)
 

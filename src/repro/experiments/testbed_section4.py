@@ -16,22 +16,34 @@ short-range link class (Figures 10-11) and the long-range class
 Absolute packet rates depend on the substrate (our simulator vs their
 hardware/driver); the claims to reproduce are the orderings and rough
 fractions of optimal.
+
+``figures-10-11``, ``figures-12-13`` and ``section-5`` share one campaign
+path, :func:`campaign_results`: one :func:`pair_task` per pair combination
+through a :class:`repro.api.Study` sweep, pooled and cached when ``workers``
+/ ``cache_dir`` are set.  Equal parameters give equal cache keys whichever
+experiment asked.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ..api import Study
 from ..api.experiment import experiment
-from ..testbed.experiment import CampaignSummary, TestbedExperiment
+from ..runner import ResultCache
+from ..testbed.experiment import (
+    CampaignSummary, PairExperimentResult, RateRunDetail, TestbedExperiment,
+)
 from ..testbed.layout import TestbedLayout, generate_office_layout
-from ..testbed.pairs import select_competing_pairs
+from ..testbed.pairs import CompetingPairs, select_competing_pairs
 from .base import ExperimentResult
 
 __all__ = [
     "run",
+    "pair_task",
+    "campaign_results",
     "PAPER_SHORT_RANGE",
     "PAPER_LONG_RANGE",
     "EXPERIMENT_SHORT",
@@ -39,6 +51,8 @@ __all__ = [
 ]
 
 EXPERIMENT_ID = "figures-10-13"
+
+PAIR_TASK_PATH = "repro.experiments.testbed_section4.pair_task"
 
 PAPER_SHORT_RANGE = {
     "optimal_pps": 1753,
@@ -71,19 +85,13 @@ def _scatter(summary: CampaignSummary) -> List[Dict[str, float]]:
     return rows
 
 
-def run(
-    link_class: str = "short",
-    layout: Optional[TestbedLayout] = None,
-    n_combinations: int = 10,
-    run_duration_s: float = 5.0,
-    rates_mbps: Sequence[float] = (6.0, 9.0, 12.0, 18.0, 24.0),
-    seed: int = 3,
-) -> ExperimentResult:
-    """Run the Section 4 campaign for one link class on the synthetic testbed."""
-    if link_class not in ("short", "long"):
-        raise ValueError("link_class must be 'short' or 'long'")
-    if layout is None:
-        layout = generate_office_layout()
+@lru_cache(maxsize=4)
+def _default_selection(
+    link_class: str, n_combinations: int, seed: int
+) -> Tuple[TestbedLayout, Tuple[CompetingPairs, ...]]:
+    """The default office layout and its pair combinations, memoised per
+    process: worker processes rebuild them from these scalars."""
+    layout = generate_office_layout()
     # Long-range links are weak because of obstructions (floors, walls), not
     # because sender and receiver span the whole building; keep the physically
     # nearer half of the in-band links for that class (see select_links).
@@ -95,10 +103,85 @@ def run(
         seed=seed,
         prefer_nearby_fraction=prefer_nearby,
     )
+    return layout, tuple(combos)
+
+
+def pair_task(
+    combo_index: int,
+    link_class: str,
+    n_combinations: int,
+    run_duration_s: float,
+    rates_mbps: List[float],
+    seed: int,
+) -> Dict[str, object]:
+    """Measure one pair combination of the default campaign (JSON-able)."""
+    layout, combos = _default_selection(link_class, n_combinations, seed)
     experiment = TestbedExperiment(
-        layout, rates_mbps=rates_mbps, run_duration_s=run_duration_s, seed=seed
+        layout, rates_mbps=tuple(rates_mbps), run_duration_s=run_duration_s, seed=seed
     )
-    summary = experiment.run_campaign(combos)
+    details = experiment.measure_rates(combos[combo_index])
+    return {"per_rate": [asdict(detail) for detail in details]}
+
+
+def campaign_results(
+    link_class: str,
+    n_combinations: int,
+    run_duration_s: float,
+    rates_mbps: Sequence[float],
+    seed: int,
+    workers: int,
+    cache_dir: Optional[str],
+) -> Tuple[Tuple[PairExperimentResult, ...], str]:
+    """Run the default campaign through the batch runner and reassemble.
+
+    Returns the per-combination results and the runner's summary line.  Bad
+    input raises ``ValueError`` naming the field before any task runs.
+    """
+    if link_class not in ("short", "long"):
+        raise ValueError(f"link_class must be 'short' or 'long', got {link_class!r}")
+    if n_combinations < 1:
+        raise ValueError(f"n_combinations must be at least 1, got {n_combinations}")
+    layout, combos = _default_selection(link_class, n_combinations, seed)
+    # Constructed before the sweep: it validates the duration and the rates.
+    experiment = TestbedExperiment(
+        layout, rates_mbps=tuple(rates_mbps), run_duration_s=run_duration_s, seed=seed
+    )
+    study_run = (
+        Study.tasks(
+            PAIR_TASK_PATH,
+            {
+                "link_class": link_class,
+                "n_combinations": n_combinations,
+                "run_duration_s": run_duration_s,
+                "rates_mbps": list(experiment.rates_mbps),
+                "seed": seed,
+            },
+        )
+        .sweep(combo_index=list(range(len(combos))))
+        .cache(ResultCache(cache_dir) if cache_dir else None)
+        .run(workers=workers)
+    )
+    results = tuple(
+        experiment.summarise(combo, [RateRunDetail(**detail) for detail in task["per_rate"]])
+        for combo, task in zip(combos, study_run.raw)
+    )
+    return results, study_run.report.summary()
+
+
+def run(
+    link_class: str = "short",
+    n_combinations: int = 10,
+    run_duration_s: float = 5.0,
+    rates_mbps: Sequence[float] = (6.0, 9.0, 12.0, 18.0, 24.0),
+    seed: int = 3,
+    workers: int = 0,
+    cache_dir: Optional[str] = None,
+) -> ExperimentResult:
+    """Run the Section 4 campaign for one link class on the synthetic testbed."""
+    results, runner_note = campaign_results(
+        link_class, n_combinations, run_duration_s, rates_mbps, seed, workers, cache_dir
+    )
+    summary = CampaignSummary(results=results)
 
     paper = PAPER_SHORT_RANGE if link_class == "short" else PAPER_LONG_RANGE
     result = ExperimentResult(
@@ -113,7 +196,7 @@ def run(
     }
     result.data["paper"] = paper
     result.data["scatter"] = _scatter(summary)
-    result.data["n_combinations"] = len(combos)
+    result.data["n_combinations"] = len(results)
     rssi = [row["sender_sender_rssi_dbm"] for row in result.data["scatter"]]
     result.data["sender_sender_rssi_span_dbm"] = [float(min(rssi)), float(max(rssi))]
     result.add_note(
@@ -121,6 +204,7 @@ def run(
         "multiplexing winning at high sender-sender RSSI and concurrency at low "
         "RSSI, the three-regime structure of Figures 11 and 13."
     )
+    result.add_note(f"runner: {runner_note}")
     result.data["campaign"] = summary
     return result
 
@@ -130,7 +214,6 @@ EXPERIMENT_SHORT = experiment(
     "Section 4 testbed campaign (short range)",
     run,
     tags=("packet-level", "testbed", "slow"),
-    exclude_params=("layout",),
     defaults={"link_class": "short"},
     series_keys=("scatter",),
 )
@@ -140,7 +223,6 @@ EXPERIMENT_LONG = experiment(
     "Section 4 testbed campaign (long range)",
     run,
     tags=("packet-level", "testbed", "slow"),
-    exclude_params=("layout",),
     defaults={"link_class": "long"},
     series_keys=("scatter",),
 )

@@ -16,6 +16,7 @@ Typical use::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
@@ -263,8 +264,8 @@ class WirelessNetwork:
 
     def run(self, duration_s: float) -> RunResult:
         """Run the network for ``duration_s`` simulated seconds and report."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
+        if not (math.isfinite(duration_s) and duration_s > 0):
+            raise ValueError(f"duration must be finite and positive, got {duration_s}")
         for node in self.nodes.values():
             node.stats.reset()
         self.start()

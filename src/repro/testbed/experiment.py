@@ -16,16 +16,20 @@ what Figures 10-13 plot, and "optimal" is the per-combination maximum over
 the three strategies (the summary tables of Sections 4.1 and 4.2).
 
 :class:`TestbedExperiment` reproduces that protocol run-for-run on the packet
-simulator, caching solo runs (which do not depend on the competing pair).
+simulator, one pair combination at a time.  Campaigns over many combinations
+run through :mod:`repro.experiments.testbed_section4`, which fans one task per
+combination out through the batch runner and its result cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..capacity.rates import rate_by_mbps
 from ..constants import (
     EXPERIMENT_PAYLOAD_BYTES,
     EXPERIMENT_RATES_MBPS,
@@ -159,26 +163,31 @@ class TestbedExperiment:
     # Not a pytest test class, despite the name.
     __test__ = False
 
+    #: Saturated-source payload and the carrier-sense threshold of the
+    #: "carrier sense" strategy (the hardware default).
+    payload_bytes = EXPERIMENT_PAYLOAD_BYTES
+    cca_threshold_dbm = -82.0
+
     def __init__(
         self,
         layout: TestbedLayout,
         rates_mbps: Sequence[float] = EXPERIMENT_RATES_MBPS,
         run_duration_s: float = EXPERIMENT_RUN_SECONDS,
-        payload_bytes: int = EXPERIMENT_PAYLOAD_BYTES,
-        cca_threshold_dbm: float = -82.0,
         seed: int = 0,
     ) -> None:
-        if run_duration_s <= 0:
-            raise ValueError("run duration must be positive")
+        if not (math.isfinite(run_duration_s) and run_duration_s > 0):
+            raise ValueError(f"run_duration_s must be finite and positive, got {run_duration_s}")
         if not rates_mbps:
-            raise ValueError("need at least one bitrate")
+            raise ValueError("rates_mbps must name at least one bitrate")
+        for rate in rates_mbps:
+            try:
+                rate_by_mbps(float(rate))
+            except KeyError:
+                raise ValueError(f"rates_mbps: {rate} Mbps is not an 802.11a rate") from None
         self.layout = layout
         self.rates_mbps = tuple(float(r) for r in rates_mbps)
         self.run_duration_s = run_duration_s
-        self.payload_bytes = payload_bytes
-        self.cca_threshold_dbm = cca_threshold_dbm
         self.seed = seed
-        self._solo_cache: Dict[Tuple[str, str, float], int] = {}
 
     # -- individual runs -----------------------------------------------------------
 
@@ -211,13 +220,9 @@ class TestbedExperiment:
         return net
 
     def _solo_packets(self, sender: str, receiver: str, rate_mbps: float) -> int:
-        """Delivered packets when the pair runs alone (cached)."""
-        key = (sender, receiver, rate_mbps)
-        if key not in self._solo_cache:
-            net = self._build_network([(sender, receiver)], rate_mbps, self.cca_threshold_dbm)
-            result = net.run(self.run_duration_s)
-            self._solo_cache[key] = result.packets_delivered(sender, receiver)
-        return self._solo_cache[key]
+        """Delivered packets when the pair runs alone."""
+        net = self._build_network([(sender, receiver)], rate_mbps, self.cca_threshold_dbm)
+        return net.run(self.run_duration_s).packets_delivered(sender, receiver)
 
     def _competing_packets(
         self, pairs: CompetingPairs, rate_mbps: float, cca_threshold_dbm: Optional[float]
@@ -308,10 +313,3 @@ class TestbedExperiment:
     def run_pair(self, pairs: CompetingPairs) -> PairExperimentResult:
         """Full protocol for one competing pair combination."""
         return self.summarise(pairs, self.measure_rates(pairs))
-
-    def run_campaign(self, combinations: Sequence[CompetingPairs]) -> CampaignSummary:
-        """Run the full protocol over many combinations and summarise."""
-        if not combinations:
-            raise ValueError("need at least one pair combination")
-        results = tuple(self.run_pair(pairs) for pairs in combinations)
-        return CampaignSummary(results=results)

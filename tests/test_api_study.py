@@ -14,35 +14,38 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import ResultSet, Study, placement_seed, registry
+from repro.api import EXPERIMENTS, ResultSet, Study, placement_seed, registry
+from repro.api.experiment import parse_overrides
 from repro.experiments import run_scenarios
+from repro.experiments.__main__ import main
 from repro.runner import ResultCache, config_hash, expand_grid
 from repro.scenarios import Scenario, aggregate_metrics, scenario_task
 from repro.simulation.mac.csma import CsmaMac
 from repro.simulation.traffic import SaturatedTraffic
 
 
-def legacy_build_scenarios(args) -> list:
-    """The pre-Study CLI expansion, frozen verbatim as the parity reference."""
+def legacy_build_scenarios(params) -> list:
+    """The pre-Study CLI expansion, frozen as the parity reference (it read an
+    argparse namespace; ``params`` is the same fields as a mapping)."""
     topologies = []
-    for chunk in args.topology or ["uniform_disc"]:
+    for chunk in params["topology"] or ["uniform_disc"]:
         topologies.extend(name.strip() for name in chunk.split(",") if name.strip())
     grid = {
         "topology": topologies,
-        "n_nodes": args.nodes or [10],
-        "extent_m": args.extent or [120.0],
-        "sigma_db": args.sigma or [0.0],
-        "cca_threshold_dbm": args.cca if args.cca is not None else [-82.0],
-        "replicate": list(range(args.seeds)),
+        "n_nodes": params["nodes"] or [10],
+        "extent_m": params["extent"] or [120.0],
+        "sigma_db": params["sigma"] or [0.0],
+        "cca_threshold_dbm": params["cca"] if params["cca"] is not None else [-82.0],
+        "replicate": list(range(params["seeds"])),
     }
     base = {
-        "mac": args.mac,
-        "traffic": args.traffic,
-        "offered_load_pps": args.load,
-        "rate_mbps": args.rate,
-        "duration_s": args.duration,
-        "detectability_margin_db": args.prune_margin,
-        "cca_noise_db": args.cca_noise,
+        "mac": params["mac"],
+        "traffic": params["traffic"],
+        "offered_load_pps": params["load"],
+        "rate_mbps": params["rate"],
+        "duration_s": params["duration"],
+        "detectability_margin_db": params["prune_margin"],
+        "cca_noise_db": params["cca_noise"],
     }
     scenarios = []
     for config in expand_grid(base, grid):
@@ -53,7 +56,7 @@ def legacy_build_scenarios(args) -> list:
                 "n_nodes": config["n_nodes"],
                 "extent_m": config["extent_m"],
                 "replicate": replicate,
-                "base_seed": args.base_seed,
+                "base_seed": params["base_seed"],
             })[:8],
             16,
         )
@@ -67,31 +70,64 @@ def legacy_build_scenarios(args) -> list:
     return scenarios
 
 
-class TestCliParity:
-    ARGV = [
-        "--topology", "line,exposed_terminal", "--nodes", "4", "--nodes", "6",
-        "--sigma", "0", "--sigma", "6", "--seeds", "2", "--duration", "0.1",
-    ]
+#: The old flag grammar's parse of ``--topology line,exposed_terminal --nodes
+#: 4 --nodes 6 --sigma 0 --sigma 6 --seeds 2 --duration 0.1``, frozen.
+LEGACY_PARAMS = {
+    "topology": ["line,exposed_terminal"], "nodes": [4, 6], "extent": None,
+    "sigma": [0.0, 6.0], "cca": None, "rate": 6.0, "prune_margin": 16.0,
+    "cca_noise": 2.0, "mac": "csma", "traffic": "saturated", "load": 200.0,
+    "duration": 0.1, "seeds": 2, "base_seed": 0,
+}
 
-    def test_study_expansion_matches_legacy_cli_exactly(self):
-        """Same scenarios, same order, same seeds/names -- same cache keys."""
-        args = run_scenarios.build_parser().parse_args(self.ARGV)
-        new = run_scenarios.build_scenarios(vars(args))
-        old = legacy_build_scenarios(args)
+#: The README's 48-scenario flag example, ``--topology uniform_disc,grid
+#: --nodes 10 --nodes 20 --sigma 0 --sigma 8 --seeds 3 --cca -82 --cca off``.
+README_LEGACY_PARAMS = {
+    **LEGACY_PARAMS, "topology": ["uniform_disc,grid"], "nodes": [10, 20],
+    "sigma": [0.0, 8.0], "seeds": 3, "cca": [-82.0, None], "duration": 0.5,
+}
+
+
+def _set_scenarios(assignments):
+    """``run run-scenarios --set ...``'s scenario expansion."""
+    spec = EXPERIMENTS["run-scenarios"]
+    return run_scenarios.build_scenarios(
+        spec.resolved_params(spec.resolve(parse_overrides(assignments)))
+    )
+
+
+class TestCliParity:
+    def _assert_same_tasks(self, new, old):
         assert new == old
         assert [scenario_task(s).cache_key for s in new] == [
             scenario_task(s).cache_key for s in old
         ]
 
+    def test_study_expansion_matches_legacy_cli_exactly(self):
+        """Same scenarios, same order, same seeds/names -- same cache keys."""
+        new = _set_scenarios([
+            "topology=line,exposed_terminal", "nodes=4,6", "sigma=0,6", "seeds=2",
+            "duration=0.1",
+        ])
+        self._assert_same_tasks(new, legacy_build_scenarios(LEGACY_PARAMS))
+
+    def test_readme_example_matches_legacy_cli(self):
+        new = _set_scenarios([
+            "topology=uniform_disc,grid", "nodes=10,20", "sigma=0,8", "seeds=3",
+            "cca=-82,off",
+        ])
+        assert len(new) == 48
+        self._assert_same_tasks(new, legacy_build_scenarios(README_LEGACY_PARAMS))
+
     def test_cli_metrics_byte_identical_to_direct_runs(self, capsys):
         """The printed sweep aggregate equals direct runs of the frozen grid."""
-        argv = ["--topology", "exposed_terminal", "--nodes", "4", "--nodes", "8",
-                "--duration", "0.1", "--no-cache"]
-        assert run_scenarios.main(argv) == 0
+        argv = ["run", "run-scenarios", "--set", "topology=exposed_terminal",
+                "--set", "nodes=4,8", "--set", "duration=0.1", "--set", "no_cache=true"]
+        assert main(argv) == 0
         printed = capsys.readouterr().out
-        args = run_scenarios.build_parser().parse_args(argv)
+        legacy = {**LEGACY_PARAMS, "topology": ["exposed_terminal"], "nodes": [4, 8],
+                  "sigma": None, "seeds": 1}
         reference = aggregate_metrics(
-            ResultSet.concat([s.run() for s in legacy_build_scenarios(args)])
+            ResultSet.concat([s.run() for s in legacy_build_scenarios(legacy)])
         )
         for key in ("total_pps_mean", "total_pps_min", "total_pps_max"):
             assert f"{key}: {reference[key]:.4g}" in printed

@@ -4,7 +4,7 @@ Every paper harness is a registered :class:`repro.api.Experiment`; running
 one produces an :class:`repro.api.Artifact` whose numbers match the golden
 fixture ``tests/data/experiment_artifacts.json`` (at reduced parameters);
 artifacts round-trip through disk; and the ``list | describe | run`` CLI
-plus the ``run-scenarios`` flag grammar behave as documented.
+behaves as documented.
 """
 
 from __future__ import annotations
@@ -331,8 +331,8 @@ class TestNewCli:
 
 
 class TestLegacyCliGrammar:
-    """The bare-id grammar is gone: only ``list | describe | run`` and the
-    ``run-scenarios`` flag grammar parse."""
+    """The bare-id and ``run-scenarios`` flag grammars are gone: only
+    ``list | describe | run`` parse."""
 
     def test_no_args_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -351,59 +351,48 @@ class TestLegacyCliGrammar:
             main(["run", "not-an-experiment"])
 
     def test_run_scenarios_delegates(self, tmp_path, capsys):
+        """Nothing to delegate to: the flag form is a usage error."""
         argv = [
             "run-scenarios", "--topology", "exposed_terminal", "--nodes", "4",
             "--duration", "0.2", "--cache-dir", str(tmp_path / "cache"),
         ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "n_scenarios: 1" in out
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
 
 
-#: Inputs the run-scenarios body rejects: API kwargs, the same as flags and as
-#: ``--set`` assignments, and the expected message.
+#: Inputs the run-scenarios body rejects: API kwargs, the same as ``--set``
+#: assignments, and the expected message.
 BAD_SWEEPS = {
-    "zero-seeds": (dict(seeds=0), ["--seeds", "0"], ["seeds=0"], "seed replicate"),
-    "unknown-topology": (
-        dict(topology="nope"), ["--topology", "nope"], ["topology=nope"],
-        "unknown topology 'nope'",
-    ),
+    "zero-seeds": (dict(seeds=0), ["seeds=0"], "seed replicate"),
+    "unknown-topology": (dict(topology="nope"), ["topology=nope"], "unknown topology 'nope'"),
     "one-node-grid": (
-        dict(topology="grid", nodes=1), ["--topology", "grid", "--nodes", "1"],
-        ["topology=grid", "nodes=1"], "invalid scenario grid-n1-.*at least two nodes",
+        dict(topology="grid", nodes=1), ["topology=grid", "nodes=1"],
+        "invalid scenario grid-n1-.*at least two nodes",
     ),
-    "negative-workers": (
-        dict(workers=-1), ["--workers", "-1"], ["workers=-1"],
-        "workers must be non-negative",
-    ),
+    "negative-workers": (dict(workers=-1), ["workers=-1"], "workers must be non-negative"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SWEEPS))
 class TestRunScenariosBadInput:
     """Bad sweeps raise ValueError (never SystemExit) before any task runs;
-    both command lines report ``run-scenarios: <message>`` and exit 1."""
+    the command line reports ``run-scenarios: <message>`` and exits 1."""
 
     def test_api_raises_value_error(self, case, tmp_path):
-        kwargs, _, _, message = BAD_SWEEPS[case]
+        kwargs, _, message = BAD_SWEEPS[case]
         cache = tmp_path / "cache"
         with pytest.raises(ValueError, match=message):
             EXPERIMENTS["run-scenarios"].run(cache_dir=str(cache), duration=0.1, **kwargs)
         assert not cache.exists()
 
     def test_set_grammar_exits_1(self, case, tmp_path, capsys):
-        _, _, assignments, message = BAD_SWEEPS[case]
+        _, assignments, message = BAD_SWEEPS[case]
         argv = ["run", "run-scenarios", "--set", f"cache_dir={tmp_path / 'cache'}"]
         for assignment in assignments:
             argv += ["--set", assignment]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("run-scenarios: ") and re.search(message, err)
-        assert not (tmp_path / "cache").exists()
-
-    def test_flag_grammar_exits_1(self, case, tmp_path, capsys):
-        _, flags, _, message = BAD_SWEEPS[case]
-        argv = ["run-scenarios", "--cache-dir", str(tmp_path / "cache"), *flags]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("run-scenarios: ") and re.search(message, err)

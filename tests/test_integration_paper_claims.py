@@ -14,7 +14,7 @@ from repro.constants import DEFAULT_NOISE_RATIO
 from repro.core.averaging import average_policies, throughput_curves
 from repro.core.geometry import Scenario
 from repro.core.thresholds import optimal_threshold
-from repro.testbed.experiment import TestbedExperiment
+from repro.testbed.experiment import CampaignSummary, TestbedExperiment
 from repro.testbed.layout import generate_office_layout
 from repro.testbed.pairs import select_competing_pairs
 
@@ -109,7 +109,7 @@ class TestTestbedCampaignSmall:
         experiment = TestbedExperiment(
             layout, rates_mbps=(6.0, 12.0, 24.0), run_duration_s=1.0, seed=1
         )
-        summary = experiment.run_campaign(combos)
+        summary = CampaignSummary(results=tuple(experiment.run_pair(pairs) for pairs in combos))
         assert summary.fraction_of_optimal("carrier_sense") > 0.8
         # Carrier sense tracks the better static policy to within a few percent
         # even on this tiny (4-combination) sample.

@@ -261,6 +261,15 @@ class TestNetworkHarness:
         with pytest.raises(ValueError):
             net.run(0.0)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, duration):
+        # NaN passed a ``<= 0`` check and then never stopped the event loop.
+        net = WirelessNetwork(channel=make_channel())
+        net.add_node("A", (0, 0))
+        net.add_node("B", (8, 0))
+        with pytest.raises(ValueError, match="finite and positive"):
+            net.run(duration)
+
     def test_oracle_rate_selector_uses_link_snr(self):
         net = WirelessNetwork(channel=make_channel())
         net.add_node("S", (0, 0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.testbed.exposed import exposed_terminal_study
-from repro.testbed.experiment import TestbedExperiment
+from repro.testbed.experiment import CampaignSummary, TestbedExperiment
 from repro.testbed.layout import generate_office_layout
 from repro.testbed.pairs import select_competing_pairs
 
@@ -67,24 +67,27 @@ class TestProtocol:
             )
         )
 
-    def test_solo_cache_reused(self, layout, experiment, close_pair_result):
-        combo, _ = close_pair_result
-        cache_size = len(experiment._solo_cache)
-        experiment.run_pair(combo)
-        assert len(experiment._solo_cache) == cache_size
-
     def test_invalid_construction(self, layout):
         with pytest.raises(ValueError):
             TestbedExperiment(layout, run_duration_s=0.0)
         with pytest.raises(ValueError):
             TestbedExperiment(layout, rates_mbps=())
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_duration_rejected(self, layout, duration):
+        with pytest.raises(ValueError, match="run_duration_s"):
+            TestbedExperiment(layout, run_duration_s=duration)
+
+    def test_unknown_rate_rejected(self, layout):
+        with pytest.raises(ValueError, match="rates_mbps: 7.0 Mbps"):
+            TestbedExperiment(layout, rates_mbps=(6.0, 7.0))
+
 
 class TestCampaignAndExposedStudy:
     @pytest.fixture(scope="class")
     def campaign(self, layout, experiment):
         combos = select_competing_pairs(layout, "short", n_combinations=3, seed=4)
-        return experiment.run_campaign(combos)
+        return CampaignSummary(results=tuple(experiment.run_pair(pairs) for pairs in combos))
 
     def test_summary_averages_are_consistent(self, campaign):
         cs_mean = np.mean([r.carrier_sense.combined_pps for r in campaign.results])
@@ -102,10 +105,6 @@ class TestCampaignAndExposedStudy:
         with pytest.raises(KeyError):
             campaign.fraction_of_optimal("aloha")
 
-    def test_empty_campaign_rejected(self, experiment):
-        with pytest.raises(ValueError):
-            experiment.run_campaign([])
-
     def test_exposed_study_gains_are_sane(self, campaign):
         study = exposed_terminal_study(campaign.results)
         # Adaptation should be worth a lot; exposed-terminal exploitation can
@@ -118,7 +117,7 @@ class TestCampaignAndExposedStudy:
     def test_exposed_study_requires_base_rate(self, layout):
         exp = TestbedExperiment(layout, rates_mbps=(12.0,), run_duration_s=0.3, seed=1)
         combos = select_competing_pairs(layout, "short", n_combinations=1, seed=4)
-        results = exp.run_campaign(combos).results
+        results = [exp.run_pair(pairs) for pairs in combos]
         with pytest.raises(ValueError):
             exposed_terminal_study(results, base_rate_mbps=6.0)
 
