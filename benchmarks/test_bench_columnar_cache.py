@@ -1,9 +1,9 @@
 """Benchmark C-1: columnar cache entries vs the JSON flow-dict encoding.
 
 A 200-node scale-free sweep is stored twice: once through the columnar
-:class:`~repro.runner.cache.ResultCache` path (a packed ``<key>.bin``
-sidecar, :meth:`~repro.results.ResultSet.pack`, plus a JSON manifest entry)
-and once as the JSON flow-dict encoding of the same
+:class:`~repro.runner.cache.ResultCache` path (one ``<key>.bin`` entry file:
+a small header with the key and config, then
+:meth:`~repro.results.ResultSet.pack`) and once as the JSON flow-dict encoding of the same
 :class:`~repro.results.ResultSet` (per-flow record dicts carrying every
 column, i.e. what the dict-of-dicts pipeline would have to store to persist
 the same information).  The pinned property: the columnar files are at
@@ -64,8 +64,7 @@ def test_columnar_cache_is_at_least_3x_smaller_than_flow_dict_json(tmp_path):
         result = scenario.run()
         task = scenario_task(scenario)
         cache.put(task.cache_key, {"fn": task.fn, "config": task.config}, result)
-        columnar_bytes += cache._path(task.cache_key).stat().st_size
-        columnar_bytes += cache._binary_path(task.cache_key).stat().st_size
+        columnar_bytes += cache._path(task.cache_key, ".bin").stat().st_size
         flow_dict_bytes += flow_dict_json_bytes(result, task.config)
 
         # The stored entry must still round-trip losslessly.

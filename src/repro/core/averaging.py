@@ -75,11 +75,6 @@ class PolicyAverages:
         """Carrier-sense throughput as a fraction of the oracle throughput."""
         return self.carrier_sense / self.optimal
 
-    @property
-    def best_static_policy(self) -> str:
-        """Which non-adaptive policy (concurrency or multiplexing) wins on average."""
-        return "concurrency" if self.concurrent >= self.multiplexing else "multiplexing"
-
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict view of the averages (useful for tabulation)."""
         return {

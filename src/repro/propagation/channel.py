@@ -98,10 +98,6 @@ class NormalizedChannel:
         """Signal-to-interference-plus-noise ratio at the given distance(s)."""
         return self.received_power(distance, shadowing_gain) / (self.noise + interference)
 
-    def draw_shadowing(self, size: Optional[Union[int, Tuple[int, ...]]] = None) -> ArrayLike:
-        """Draw lognormal shadowing gain(s) from this channel's distribution."""
-        return self._shadowing.sample_linear(size)
-
 
 def _pair_index(i: IndexLike, j: IndexLike, n: int) -> IndexLike:
     """Position of the pair ``(i, j)``, ``i < j``, in an ``n``-node condensed

@@ -16,7 +16,7 @@ row-oriented JSON-able form.
 A ResultSet is stored in one form: :meth:`pack` / :meth:`unpack`, one
 zlib-compressed buffer of a JSON header (:meth:`manifest` plus the node-name
 dtype) and the raw column bytes.  The :class:`repro.runner.cache.ResultCache`
-sidecars and the experiment-artifact sidecars (:meth:`save` / :meth:`load`)
+entries and the experiment-artifact sidecars (:meth:`save` / :meth:`load`)
 both hold it, so a read is one decompress and one JSON parse.
 :meth:`to_bytes` is a digest-only form with no reader: the pinned result
 digests hash it.
@@ -77,6 +77,9 @@ _COLUMN_DTYPES: Dict[str, str] = {
 #: The byte-order-explicit form of each column dtype in the packed body.
 _PACKED_DTYPES = {"int32": np.dtype("<i4"), "float64": np.dtype("<f8"), "int64": np.dtype("<i8")}
 
+#: Built once: every cache hit constructs a ResultSet.
+_I32, _I64, _F64, _U32 = (np.dtype(kind) for kind in (np.int32, np.int64, np.float64, np.uint32))
+
 _HEADER_LENGTH = struct.Struct("<I")
 
 
@@ -118,19 +121,19 @@ class ResultSet:
         **columns: np.ndarray,
     ) -> None:
         self.node_names = np.asarray(node_names)
-        self.src_code = np.asarray(src_code, dtype=np.int32)
-        self.dst_code = np.asarray(dst_code, dtype=np.int32)
-        self.scenario_idx = np.asarray(scenario_idx, dtype=np.int32)
+        self.src_code = np.asarray(src_code, _I32)
+        self.dst_code = np.asarray(dst_code, _I32)
+        self.scenario_idx = np.asarray(scenario_idx, _I32)
         self.scenarios = list(scenarios)
         n = len(self.src_code)
         for name in _FLOAT_COLUMNS:
             value = columns.pop(name, None)
             setattr(self, name, np.full(n, np.nan) if value is None
-                    else np.asarray(value, dtype=np.float64))
+                    else np.asarray(value, _F64))
         for name in _INT_COLUMNS:
             value = columns.pop(name, None)
             setattr(self, name, np.full(n, -1, dtype=np.int64) if value is None
-                    else np.asarray(value, dtype=np.int64))
+                    else np.asarray(value, _I64))
         if columns:
             raise TypeError(f"unknown flow columns: {sorted(columns)}")
         for name in ("dst_code", "scenario_idx", *_FLOAT_COLUMNS, *_INT_COLUMNS):
@@ -144,7 +147,7 @@ class ResultSet:
                 ("dst_code", len(self.node_names), "node names"),
                 ("scenario_idx", len(self.scenarios), "scenarios"),
             ):
-                if int(getattr(self, name).view(np.uint32).max()) >= bound:
+                if int(np.maximum.reduce(getattr(self, name).view(_U32))) >= bound:
                     raise ValueError(f"{name} holds a value outside [0, {bound}) ({bound} {what})")
 
     # -- basic shape -----------------------------------------------------------
@@ -463,12 +466,13 @@ class ResultSet:
     def unpack(cls, blob: bytes) -> "ResultSet":
         """Decode :meth:`pack` output; a malformed buffer raises ``ValueError``.
 
-        Only the dtypes :meth:`pack` writes are accepted, so no object array
-        is ever built, and the body must hold exactly the declared columns.
-        Each column is copied out of the buffer, so it owns its memory and is
-        writeable.  Columns added after a buffer was written (the schema is
-        additive within one version) are missing from its header and fall
-        back to their "not measured" sentinels.
+        ``blob`` is bytes-like (a cache hit passes a ``memoryview``).  Only the
+        dtypes :meth:`pack` writes are accepted, so no object array is ever
+        built; the body must hold exactly the declared columns; the
+        constructor checks row counts and code ranges.  Each column is copied
+        out of the buffer, so it owns its memory and is writeable.  Columns
+        added after a buffer was written (the schema is additive within one
+        version) fall back to their "not measured" sentinels.
         """
         inflate = zlib.decompressobj()
         try:
@@ -491,7 +495,8 @@ class ResultSet:
         arrays: Dict[str, np.ndarray] = {}
         offset = start
         for name, dtype, count in layout:
-            arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).copy()
+            # Positional: numpy's frombuffer parses keywords at a cost per call.
+            arrays[name] = np.frombuffer(raw, dtype, count, offset).copy()
             offset += dtype.itemsize * count
         return cls(scenarios=header["scenarios"], **arrays)
 

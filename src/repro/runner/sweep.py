@@ -29,15 +29,20 @@ def expand_grid(
     configs: List[Dict[str, Any]] = []
     for combo in itertools.product(*(values for _, values in axes)):
         config = dict(base)
-        config.update({name: _scalar(value) for (name, _), value in zip(axes, combo)})
+        config.update({name: plain(value) for (name, _), value in zip(axes, combo)})
         configs.append(config)
     return configs
 
 
-def _scalar(value: Any) -> Any:
-    """Coerce numpy scalars to plain python so configs stay JSON-able."""
+def plain(value: Any) -> Any:
+    """``value`` with its numpy scalars, at any depth, as Python scalars, so
+    configs stay JSON-able."""
     if isinstance(value, np.generic):
         return value.item()
+    if type(value) is dict:
+        return {key: plain(item) for key, item in value.items()}
+    if type(value) in (list, tuple):
+        return type(value)(plain(item) for item in value)
     return value
 
 

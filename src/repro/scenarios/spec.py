@@ -27,6 +27,7 @@ from ..propagation.channel import ChannelModel
 from ..propagation.pathloss import LogDistancePathLoss
 from ..registry import CONTROLLERS, MACS, TRAFFIC_MODELS
 from ..results import ResultSet
+from ..runner.sweep import plain
 from ..simulation.mac.tdma import TdmaSchedule
 from ..simulation.medium import DEFAULT_DETECTABILITY_MARGIN_DB, LinkRows
 from ..simulation.network import RunResult, WirelessNetwork
@@ -164,6 +165,10 @@ class Scenario:
     duration_s: float = 1.0
 
     def __post_init__(self) -> None:
+        # numpy scalars (seeds from ``np.arange``, say) would reach the
+        # result metadata and the cache config, which JSON cannot encode.
+        for name, value in list(vars(self).items()):
+            object.__setattr__(self, name, plain(value))
         if self.n_nodes < 2:
             raise ValueError("a scenario needs at least two nodes")
         for name in ("extent_m", "sigma_db", "duration_s", "alpha", "rate_mbps",

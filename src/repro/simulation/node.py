@@ -42,7 +42,3 @@ class Node:
     def start(self) -> None:
         """Start the node's MAC (called by the network when the run begins)."""
         self.mac.start()
-
-    @property
-    def is_sender(self) -> bool:
-        return self.traffic is not None

@@ -36,7 +36,7 @@ import numpy as np
 
 from .engine import Simulator
 from .frames import Frame
-from .medium import Medium, Transmission, _lin_to_db_scalar, linear_threshold
+from .medium import Medium, Transmission, linear_threshold
 from .phy import ReceptionModel, ReceptionOutcome
 
 __all__ = ["Radio", "RadioStats"]
@@ -184,9 +184,6 @@ class Radio:
             + medium.subfloor_noise_mw(self._slot)
             + medium._noise_floor_mw
         )
-
-    def sensed_power_dbm(self) -> float:
-        return _lin_to_db_scalar(self.sensed_power_mw())
 
     def channel_busy(self) -> bool:
         """CCA verdict: busy when sensed power exceeds the threshold.

@@ -89,12 +89,6 @@ class LinkThroughput:
             return 0.0
         return self.packets / self.duration_s
 
-    @property
-    def throughput_bps(self) -> float:
-        if self.duration_s <= 0:
-            return 0.0
-        return 8.0 * self.payload_bytes / self.duration_s
-
 
 @dataclass(slots=True)
 class NodeStats:

@@ -192,7 +192,3 @@ class OnOffTraffic(TrafficSource):
 
     def notify_sent(self, frame: Frame) -> None:
         self.packets_sent += 1
-
-    @property
-    def is_on(self) -> bool:
-        return self._on

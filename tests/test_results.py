@@ -8,7 +8,9 @@ a cache entry written before the columnar format is rejected with a
 
 from __future__ import annotations
 
+import builtins
 import json
+import os
 import struct
 import zlib
 
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.results import FLOW_COLUMNS, ResultSet
-from repro.runner import BatchRunner, ResultCache
+from repro.runner import BatchRunner, ResultCache, config_hash
 from repro.scenarios import TOPOLOGIES, Scenario, scenario_task
 
 #: One cheap scenario per registered topology (all 7 seeded generators).
@@ -241,6 +243,55 @@ def write_npz_entry(cache, task, result):
     return sidecar
 
 
+def write_two_file_entry(cache, task, result, with_sidecar, key=None):
+    """Store ``result`` as older versions did: a raw ``pack()`` ``<key>.bin``
+    sidecar (no envelope) and a ``<key>.json`` manifest pointing at it."""
+    key = key or task.cache_key
+    path = cache._path(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if with_sidecar:
+        cache._path(key, ".bin").write_bytes(result.pack())
+    marker = {"format": "packed/1", "file": f"{key}.bin",
+              "n_flows": result.n_flows, "n_scenarios": result.n_scenarios}
+    path.write_text(json.dumps({"key": key, "config": task.config,
+                                "result": {"__repro_resultset__": marker}}))
+
+
+#: The first eight bytes of every ``.bin`` cache entry.
+ENTRY_MAGIC = b"REPRO-RS"
+
+
+def split_entry(blob):
+    """A ``.bin`` cache entry's magic, JSON header and packed body."""
+    magic, length = struct.unpack_from("<8sI", blob)
+    return magic, json.loads(blob[12:12 + length]), blob[12 + length:]
+
+
+def rewrite_entry(edit):
+    """A breakage that re-encodes an entry after ``edit(magic, header, body)``."""
+    def breakage(blob):
+        magic, header, body = edit(*split_entry(blob))
+        head = json.dumps(header).encode("utf-8")
+        return struct.pack("<8sI", magic, len(head)) + head + body
+    return breakage
+
+
+#: Ways to break a ``.bin`` entry around its packed body; each must evict.
+BROKEN_ENTRIES = {
+    "bad-magic": rewrite_entry(lambda magic, header, body: (b"NOTREPRO", header, body)),
+    "other-key": rewrite_entry(lambda magic, header, body: (magic, {**header, "key": "0" * 64}, body)),
+    "unknown-format": rewrite_entry(
+        lambda magic, header, body: (magic, {**header, "format": "packed/9"}, body)),
+    "no-config": rewrite_entry(
+        lambda magic, header, body: (magic, {"key": header["key"], "format": header["format"]}, body)),
+    "header-not-object": rewrite_entry(lambda magic, header, body: (magic, [header], body)),
+    "truncated-body": lambda blob: blob[:-len(blob) // 4],
+    "truncated-header": lambda blob: blob[:20],
+    "short-prefix": lambda blob: blob[:6],
+    "empty": lambda blob: b"",
+}
+
+
 #: Ways to break a packed ResultSet; each must make ``unpack`` raise ValueError.
 BROKEN_PACKINGS = {
     "garbage": lambda blob: b"\x00not an npz",
@@ -339,17 +390,102 @@ class TestPackedFormat:
 
 
 class TestCacheIntegration:
-    def test_resultset_stored_binary_and_reloaded(self, tmp_path):
+    def test_resultset_stored_as_one_entry_file(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         task = scenario_task(ALL_TOPOLOGY_SCENARIOS[0])
         first = BatchRunner(workers=0, cache=cache).run([task])
-        assert cache._binary_path(task.cache_key).exists()
-        entry = json.loads(cache._path(task.cache_key).read_text())
-        assert "__repro_resultset__" in entry["result"]
+        path = cache._path(task.cache_key, ".bin")
+        assert [entry.name for entry in path.parent.iterdir()] == [path.name]
+        magic, header, body = split_entry(path.read_bytes())
+        assert magic == ENTRY_MAGIC
+        assert header.keys() == {"key", "format", "config"}
+        assert header["key"] == task.cache_key and header["format"] == "packed/1"
+        assert config_hash(header["config"]) == task.cache_key
+        assert body == first.results[0].pack()
         second = BatchRunner(workers=0, cache=cache).run([task])
         assert second.report.cache_hits == 1
         assert second.results == first.results
         assert isinstance(second.results[0], ResultSet)
+
+    def test_hit_opens_exactly_one_file(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path / "cache")
+        task = scenario_task(ALL_TOPOLOGY_SCENARIOS[0])
+        result = ALL_TOPOLOGY_SCENARIOS[0].run()
+        cache.put(task.cache_key, {"fn": task.fn, "config": task.config}, result)
+        opened = []
+
+        def recording(real_open):
+            def recording_open(file, *args, **kwargs):
+                opened.append(str(file))
+                return real_open(file, *args, **kwargs)
+            return recording_open
+
+        monkeypatch.setattr(builtins, "open", recording(builtins.open))
+        monkeypatch.setattr(os, "open", recording(os.open))
+        entry = cache.get(task.cache_key)
+        monkeypatch.undo()
+        assert entry["result"] == result
+        assert [path for path in opened if path.startswith(str(tmp_path))] == [
+            str(cache._path(task.cache_key, ".bin"))]
+        assert cache.hits == 1 and cache.misses == 0
+
+    @pytest.mark.parametrize("sidecar", ["packed", "missing"])
+    def test_two_file_entry_of_older_versions_evicts_and_reexecutes(self, tmp_path, sidecar):
+        """The manifest-plus-raw-``.bin`` entry older versions wrote misses,
+        leaves no ``<key>.*`` file (with or without its sidecar), and the task
+        re-executes once."""
+        cache = ResultCache(tmp_path / "cache")
+        task = scenario_task(ALL_TOPOLOGY_SCENARIOS[0])
+        result = ALL_TOPOLOGY_SCENARIOS[0].run()
+        write_two_file_entry(cache, task, result, with_sidecar=sidecar == "packed")
+        assert cache.get(task.cache_key) is None
+        assert list(cache.root.rglob(f"{task.cache_key}.*")) == []
+        rerun = BatchRunner(workers=0, cache=cache).run([task])
+        assert rerun.report.executed == 1 and rerun.report.cache_hits == 0
+        replay = BatchRunner(workers=0, cache=cache).run([task])
+        assert replay.report.cache_hits == 1
+        assert replay.results == [result]
+
+    @pytest.mark.parametrize("breakage", BROKEN_ENTRIES)
+    def test_broken_entry_evicted_and_reexecuted(self, tmp_path, breakage):
+        cache = ResultCache(tmp_path / "cache")
+        task = scenario_task(ALL_TOPOLOGY_SCENARIOS[0])
+        first = BatchRunner(workers=0, cache=cache).run([task])
+        path = cache._path(task.cache_key, ".bin")
+        path.write_bytes(BROKEN_ENTRIES[breakage](path.read_bytes()))
+        assert cache.get(task.cache_key) is None
+        assert (cache.hits, cache.misses) == (0, 2)  # the first run's miss, then this one
+        assert list(cache.root.rglob(f"{task.cache_key}.*")) == []
+        retry = BatchRunner(workers=0, cache=cache).run([task])
+        assert retry.report.executed == 1
+        assert retry.results == first.results
+
+    def test_len_and_contains_count_both_entry_kinds(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        assert len(cache) == 0
+        task = scenario_task(ALL_TOPOLOGY_SCENARIOS[0])
+        result = ALL_TOPOLOGY_SCENARIOS[0].run()
+        columnar, inline, legacy, absent = task.cache_key, "ab" * 32, "cd" * 32, "ef" * 32
+        cache.put(columnar, {"fn": task.fn, "config": task.config}, result)
+        cache.put(inline, {"x": 1}, {"y": 2})
+        # An older two-file entry is one key, not two.
+        write_two_file_entry(cache, scenario_task(ALL_TOPOLOGY_SCENARIOS[1]), result,
+                             with_sidecar=True, key=legacy)
+        assert len(cache) == 3
+        assert columnar in cache and inline in cache and legacy in cache
+        assert absent not in cache
+
+    def test_put_leaves_one_entry_file_per_key(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        result = small_resultset()
+        key = "ab" * 32
+        cache.put(key, {"x": 1}, {"y": 2})
+        cache.put(key, {"x": 1}, result)
+        assert [path.name for path in cache.root.rglob("*.*")] == [f"{key}.bin"]
+        assert cache.get_result(key) == result
+        cache.put(key, {"x": 1}, {"y": 3})
+        assert [path.name for path in cache.root.rglob("*.*")] == [f"{key}.json"]
+        assert cache.get_result(key) == {"y": 3}
 
     def test_old_format_json_entry_rejected_by_concat(self, tmp_path):
         """A pre-columnar cache entry (inline dict result) is served as
@@ -376,26 +512,27 @@ class TestCacheIntegration:
 
     @pytest.mark.parametrize("corruption", [*BROKEN_PACKINGS, "missing"])
     def test_corrupt_binary_sidecar_evicted_and_reexecuted(self, tmp_path, corruption):
-        """Unreadable sidecars (``unpack`` raises ValueError however the bytes
-        are broken, opening a missing one OSError) must evict, not crash."""
+        """An entry whose packed body ``unpack`` rejects, however it is broken,
+        evicts rather than crashes; a deleted entry is a plain miss."""
         cache = ResultCache(tmp_path / "cache")
         task = scenario_task(ALL_TOPOLOGY_SCENARIOS[0])
         first = BatchRunner(workers=0, cache=cache).run([task])
-        sidecar = cache._binary_path(task.cache_key)
+        path = cache._path(task.cache_key, ".bin")
         if corruption == "missing":
-            sidecar.unlink()
+            path.unlink()
         else:
-            sidecar.write_bytes(BROKEN_PACKINGS[corruption](sidecar.read_bytes()))
+            breakage = rewrite_entry(lambda magic, header, body: (
+                magic, header, BROKEN_PACKINGS[corruption](body)))
+            path.write_bytes(breakage(path.read_bytes()))
         assert cache.get(task.cache_key) is None
-        assert not cache._path(task.cache_key).exists()  # manifest evicted too
-        assert not sidecar.exists()
+        assert list(cache.root.rglob("*.*")) == []
         retry = BatchRunner(workers=0, cache=cache).run([task])
         assert retry.report.executed == 1
         assert retry.results == first.results
 
     def test_legacy_npz_entry_evicts_and_reexecutes(self, tmp_path):
-        """An entry written the retired ``npz/1`` way misses like any unknown
-        format, leaves no ``.npz`` behind, and the re-put entry hits."""
+        """An entry written the retired ``npz/1`` way misses, leaves no
+        ``.npz`` behind, and the re-put entry hits."""
         cache = ResultCache(tmp_path / "cache")
         task = scenario_task(ALL_TOPOLOGY_SCENARIOS[0])
         result = ALL_TOPOLOGY_SCENARIOS[0].run()
@@ -410,17 +547,19 @@ class TestCacheIntegration:
 
     @pytest.mark.parametrize("legacy", [False, True], ids=["packed", "npz"])
     def test_eviction_removes_whichever_sidecar_exists(self, tmp_path, legacy):
-        """A corrupt manifest evicts the entry's sidecar, packed or a retired
-        ``npz/1`` one, leaving no ``<key>.*`` file behind."""
+        """An unusable entry evicts every ``<key>.*`` file: a ``.bin`` entry
+        with a broken magic, or a retired ``npz/1`` manifest and its
+        ``.npz`` sidecar."""
         cache = ResultCache(tmp_path / "cache")
         task = scenario_task(ALL_TOPOLOGY_SCENARIOS[0])
         result = ALL_TOPOLOGY_SCENARIOS[0].run()
         if legacy:
             sidecar = write_npz_entry(cache, task, result)
+            cache._path(task.cache_key).write_text("{not json")
         else:
             cache.put(task.cache_key, {"fn": task.fn, "config": task.config}, result)
-            sidecar = cache._binary_path(task.cache_key)
-        cache._path(task.cache_key).write_text("{not json")
+            sidecar = cache._path(task.cache_key, ".bin")
+            sidecar.write_bytes(b"NOTREPRO" + sidecar.read_bytes()[8:])
         assert cache.get(task.cache_key) is None
         assert not sidecar.exists()
         assert list((tmp_path / "cache").rglob("*.*")) == []
@@ -430,10 +569,10 @@ class TestCacheIntegration:
         task = scenario_task(ALL_TOPOLOGY_SCENARIOS[0])
         result = ALL_TOPOLOGY_SCENARIOS[0].run()
         cache.put(task.cache_key, {"fn": task.fn, "config": task.config}, result)
-        path = cache._path(task.cache_key)
-        path.write_text(path.read_text().replace("packed/1", "packed/9"))
+        path = cache._path(task.cache_key, ".bin")
+        path.write_bytes(path.read_bytes().replace(b'"packed/1"', b'"packed/9"'))
         assert cache.get(task.cache_key) is None
-        assert not cache._binary_path(task.cache_key).exists()
+        assert not path.exists()
 
     def test_columnar_results_identical_across_worker_pool(self, tmp_path):
         tasks = [scenario_task(s) for s in ALL_TOPOLOGY_SCENARIOS]

@@ -77,6 +77,59 @@ class TestConfigHash:
             with pytest.raises(ValueError, match="non-finite"):
                 config_hash({"v": bad})
 
+    def test_numpy_scalars_hash_as_their_python_value(self):
+        import numpy as np
+
+        plain = {"seed": 3, "sigma": 8.0, "rate": 6.5, "acks": True, "v": [1, 2.5]}
+        numpy = {"seed": np.int64(3), "sigma": np.float64(8.0), "rate": np.float32(6.5),
+                 "acks": np.bool_(True), "v": [np.int32(1), np.float64(2.5)]}
+        assert config_hash(numpy) == config_hash(plain)
+        with pytest.raises(ValueError, match="non-finite"):
+            config_hash({"v": np.float32("nan")})
+
+
+class TestNumpyScalarScenarios:
+    """``Scenario`` fields and ``*_params`` given as numpy scalars (say, seeds
+    from ``np.arange``) run, hash and store exactly like Python scalars."""
+
+    def test_numpy_seed_matches_python_seed(self):
+        import numpy as np
+
+        spec = dict(topology="exposed_terminal", n_nodes=4, duration_s=0.05)
+        numpy_spec = Scenario(seed=np.int64(3), **spec)
+        plain_spec = Scenario(seed=3, **spec)
+        assert type(numpy_spec.seed) is int
+        assert scenario_task(numpy_spec).cache_key == scenario_task(plain_spec).cache_key
+        result = numpy_spec.run()
+        assert result == plain_spec.run()
+        assert result.pack() == plain_spec.run().pack()
+        assert result.to_bytes() == plain_spec.run().to_bytes()
+
+    def test_numpy_values_inside_params_become_python_scalars(self):
+        import numpy as np
+
+        spec = Scenario(n_nodes=np.int32(5), sigma_db=np.float64(4.0),
+                        use_acks=np.bool_(True),
+                        traffic_params={"nested": [np.int64(2), {"x": np.float32(0.5)}]},
+                        mac="csma", mac_params={"cw_min": np.int64(15)})
+        assert spec.as_config() == Scenario(
+            n_nodes=5, sigma_db=4.0, use_acks=True,
+            traffic_params={"nested": [2, {"x": 0.5}]}, mac_params={"cw_min": 15},
+        ).as_config()
+        json.dumps(spec.as_config())
+
+    def test_numpy_seed_sweep_caches(self, tmp_path):
+        import numpy as np
+
+        from repro.api import Study
+
+        specs = [Scenario(topology="exposed_terminal", n_nodes=4, duration_s=0.05, seed=seed)
+                 for seed in np.arange(2)]
+        first = Study.of(specs).cache(tmp_path / "cache").run()
+        replay = Study.of(specs).cache(tmp_path / "cache").run()
+        assert replay.report.cache_hits == 2
+        assert replay.results() == first.results()
+
 
 class TestPerTaskSeed:
     def test_deterministic_and_distinct(self):
