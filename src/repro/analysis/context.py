@@ -2,8 +2,9 @@
 
 A :class:`FileContext` is built once per scanned file and handed to every
 rule, so the AST is parsed once, the import table (local name -> dotted
-module path) is resolved once, and ``# simlint: disable=...`` comments are
-extracted once.
+module path) is resolved once, and suppression comments are extracted
+once.  A ``# simlint: disable=<rule>[,<rule>...]`` comment is the one
+exemption mechanism: it silences the named rules on its own line.
 
 Name resolution
 ---------------
@@ -27,19 +28,11 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional
 
-__all__ = ["FileContext", "SUPPRESS_ALL"]
-
-#: Sentinel rule name matching every rule in a suppression comment.
-SUPPRESS_ALL = "all"
+__all__ = ["FileContext"]
 
 _SUPPRESS_RE = re.compile(r"#\s*simlint:\s*disable=([A-Za-z0-9_,\- ]+)")
-_SUPPRESS_FILE_RE = re.compile(r"#\s*simlint:\s*disable-file=([A-Za-z0-9_,\- ]+)")
-
-
-def _parse_rule_list(raw: str) -> Set[str]:
-    return {part.strip() for part in raw.split(",") if part.strip()}
 
 
 class FileContext:
@@ -48,25 +41,26 @@ class FileContext:
     __slots__ = (
         "path",
         "module",
-        "source",
         "lines",
         "tree",
         "imports",
-        "_line_suppressions",
-        "_file_suppressions",
+        "_suppressions",
     )
 
     def __init__(self, path: str, module: str, source: str) -> None:
         self.path = path
         self.module = module
-        self.source = source
         self.lines: List[str] = source.splitlines()
         self.tree = ast.parse(source, filename=path)
         self.imports: Dict[str, str] = {}
         self._collect_imports()
-        self._line_suppressions: Dict[int, Set[str]] = {}
-        self._file_suppressions: Set[str] = set()
-        self._collect_suppressions()
+        self._suppressions: Dict[int, FrozenSet[str]] = {}
+        for lineno, text in enumerate(self.lines, start=1):
+            match = _SUPPRESS_RE.search(text)
+            if match:
+                self._suppressions[lineno] = frozenset(
+                    part.strip() for part in match.group(1).split(",") if part.strip()
+                )
 
     # -- imports ---------------------------------------------------------------
 
@@ -110,37 +104,15 @@ class FileContext:
 
     # -- suppressions ----------------------------------------------------------
 
-    def _collect_suppressions(self) -> None:
-        for lineno, text in enumerate(self.lines, start=1):
-            if "simlint" not in text:
-                continue
-            match = _SUPPRESS_FILE_RE.search(text)
-            if match:
-                self._file_suppressions |= _parse_rule_list(match.group(1))
-                continue
-            match = _SUPPRESS_RE.search(text)
-            if match:
-                self._line_suppressions[lineno] = _parse_rule_list(match.group(1))
-
     def suppressed(self, rule: str, line: int) -> bool:
-        """Whether ``rule`` is disabled at ``line``.
-
-        A ``# simlint: disable=<rule>[,<rule>...]`` comment suppresses matching
-        findings on its own line; ``disable-file=`` anywhere in the file
-        suppresses them file-wide.  ``disable=all`` matches every rule.
-        """
-        if self._file_suppressions & {rule, SUPPRESS_ALL}:
-            return True
-        rules = self._line_suppressions.get(line)
-        return bool(rules and rules & {rule, SUPPRESS_ALL})
+        """Whether a same-line suppression comment names ``rule``."""
+        return rule in self._suppressions.get(line, ())
 
     def suppression_rules(self) -> FrozenSet[str]:
         """Every rule name referenced by a suppression comment (for linting
         the suppressions themselves -- unknown names are reported)."""
-        names: Set[str] = set(self._file_suppressions)
-        for rules in self._line_suppressions.values():
-            names |= rules
-        return frozenset(names)
+        names: FrozenSet[str] = frozenset()
+        return names.union(*self._suppressions.values())
 
     # -- helpers for rules -----------------------------------------------------
 

@@ -1,20 +1,20 @@
 """The simlint rule engine: file walking, rule dispatch, suppression filter.
 
 The engine is deliberately small: a :class:`Rule` sees one
-:class:`~repro.analysis.context.FileContext` at a time (:meth:`Rule.check_file`)
-and may emit more findings after the whole tree has been scanned
-(:meth:`Rule.finalize` -- how the cross-file slots-in-the-MRO check works).
-:func:`run_checks` walks a package directory in sorted order, applies every
-rule whose scope matches the file's module, filters findings through the
-file's suppression comments, and returns the surviving findings sorted by
-location.  Determinism of the output ordering is itself an invariant here:
-the JSON report must be byte-stable for a given tree so CI artifacts diff
-cleanly.
+:class:`~repro.analysis.context.FileContext` at a time
+(:meth:`Rule.check_file`).  :func:`check_sources` is the one per-file loop:
+it parses each file, applies every rule whose scope matches the file's
+module, filters findings through the file's suppression comments, and
+returns the surviving findings sorted by location.  :func:`run_checks`
+feeds it a package directory read from disk and :func:`check_source` one
+in-memory file.  Determinism of the output ordering is itself an invariant
+here: the JSON report must be byte-stable for a given tree so CI artifacts
+diff cleanly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -27,20 +27,16 @@ __all__ = [
     "run_checks",
     "check_source",
     "check_sources",
-    "iter_python_files",
-    "module_name_for",
 ]
 
 
 class Rule:
     """Base class for simlint rules.
 
-    Subclasses set :attr:`name` (the id used in suppressions and baselines),
+    Subclasses set :attr:`name` (the id used in suppressions),
     :attr:`description`, and :attr:`scopes` (module-prefix filters; a file
-    is checked when its module equals a scope or lives under it).  They
-    implement :meth:`check_file` and, for cross-file invariants,
-    :meth:`finalize`.  Rule instances are created fresh for every run, so
-    accumulating state across :meth:`check_file` calls is safe.
+    is checked when its module equals a scope or lives under it), and
+    implement :meth:`check_file`.
     """
 
     name: str = ""
@@ -56,12 +52,6 @@ class Rule:
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         return ()
 
-    def finalize(self) -> Iterable[Finding]:
-        """Findings that need the whole scanned tree (default: none)."""
-        return ()
-
-    # -- helpers ---------------------------------------------------------------
-
     def finding(self, ctx: FileContext, line: int, col: int, message: str) -> Finding:
         return Finding(
             rule=self.name,
@@ -73,44 +63,12 @@ class Rule:
         )
 
 
-def module_name_for(file_path: Path, root: Path, package: str) -> str:
-    """Dotted module name of ``file_path`` inside the scanned package."""
-    relative = file_path.relative_to(root)
-    parts = list(relative.parts)
-    if parts[-1] == "__init__.py":
+def _module_name(rel: str) -> str:
+    """Dotted module name for an engine-relative path (``repro/a/b.py``)."""
+    parts = rel[: -len(".py")].split("/")
+    if parts[-1] == "__init__":
         parts = parts[:-1]
-    else:
-        parts[-1] = parts[-1][: -len(".py")]
-    return ".".join([package, *parts]) if parts else package
-
-
-def iter_python_files(root: Path) -> List[Path]:
-    """All ``.py`` files under ``root`` in deterministic sorted order."""
-    return sorted(path for path in root.rglob("*.py"))
-
-
-def _check_context(
-    ctx: FileContext, rules: Sequence[Rule], unsuppressed: List[Finding]
-) -> None:
-    known = {rule.name for rule in rules}
-    unknown = ctx.suppression_rules() - known - {"all"}
-    for name in sorted(unknown):
-        unsuppressed.append(
-            Finding(
-                rule="simlint",
-                path=ctx.path,
-                line=1,
-                col=0,
-                message=f"suppression names unknown rule {name!r}",
-                snippet=ctx.snippet(1),
-            )
-        )
-    for rule in rules:
-        if not rule.applies_to(ctx.module):
-            continue
-        for finding in rule.check_file(ctx):
-            if not ctx.suppressed(finding.rule, finding.line):
-                unsuppressed.append(finding)
+    return ".".join(parts)
 
 
 @dataclass
@@ -121,119 +79,86 @@ class CheckRun:
     the CLI's summary line without a second tree walk).
     """
 
-    findings: List[Finding] = field(default_factory=list)
-    checked_files: int = 0
-
-
-def run_checks(
-    root: Path,
-    rules: Sequence[Rule],
-    package: Optional[str] = None,
-) -> CheckRun:
-    """Run ``rules`` over every Python file under ``root``.
-
-    ``root`` is the package directory (e.g. ``src/repro``); paths in the
-    returned findings are relative to its *parent* (``repro/...``), so
-    fingerprints are stable across checkouts.  Files that fail to parse
-    surface as ``simlint`` syntax findings rather than a crash -- a lint
-    gate must degrade to a report, not a traceback.
-    """
-    root = Path(root).resolve()
-    pkg = package if package is not None else root.name
-    findings: List[Finding] = []
-    contexts: Dict[str, FileContext] = {}
-    checked_files = 0
-    for file_path in iter_python_files(root):
-        checked_files += 1
-        rel = (Path(pkg) / file_path.relative_to(root)).as_posix()
-        module = module_name_for(file_path, root, pkg)
-        try:
-            source = file_path.read_text(encoding="utf-8")
-            ctx = FileContext(rel, module, source)
-        except (SyntaxError, UnicodeDecodeError) as exc:
-            findings.append(
-                Finding(
-                    rule="simlint",
-                    path=rel,
-                    line=getattr(exc, "lineno", 1) or 1,
-                    col=getattr(exc, "offset", 0) or 0,
-                    message=f"file does not parse: {exc.__class__.__name__}: {exc}",
-                    snippet="",
-                )
-            )
-            continue
-        contexts[rel] = ctx
-        _check_context(ctx, rules, findings)
-    for rule in rules:
-        for finding in rule.finalize():
-            ctx = contexts.get(finding.path)
-            if ctx is not None and ctx.suppressed(finding.rule, finding.line):
-                continue
-            findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return CheckRun(findings=findings, checked_files=checked_files)
-
-
-def check_source(
-    source: str,
-    module: str = "repro.fixture",
-    path: str = "repro/fixture.py",
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Finding]:
-    """Run rules over one in-memory source string (the test fixture path).
-
-    Mirrors :func:`run_checks` for a single pseudo-file: per-file checks,
-    suppression filtering, then each rule's :meth:`~Rule.finalize`.
-    """
-    if rules is None:
-        from .rules import default_rules
-
-        rules = default_rules()
-    ctx = FileContext(path, module, source)
-    findings: List[Finding] = []
-    _check_context(ctx, rules, findings)
-    for rule in rules:
-        for finding in rule.finalize():
-            if not ctx.suppressed(finding.rule, finding.line):
-                findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def module_name_for_rel(rel: str) -> str:
-    """Dotted module name for an engine-relative path (``repro/a/b.py``)."""
-    parts = rel[: -len(".py")].split("/") if rel.endswith(".py") else rel.split("/")
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
+    findings: List[Finding]
+    checked_files: int
 
 
 def check_sources(
     sources: Mapping[str, str],
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
-    """Run rules over an in-memory multi-file tree.
+    """Run rules over a tree of files held in memory.
 
     ``sources`` maps engine-relative paths (``repro/scenarios/spec.py``,
-    ``repro/sim/__init__.py``) to source text.  Mirrors :func:`run_checks`,
-    so fixtures with cross-file state (the slots-in-the-MRO check) can span
-    several modules without touching the filesystem.
+    ``repro/sim/__init__.py``) to source text.  Files that fail to parse
+    surface as ``simlint`` findings rather than a crash -- a lint gate must
+    degrade to a report, not a traceback -- and so does a suppression
+    comment naming a rule that does not exist.
     """
     if rules is None:
         from .rules import default_rules
 
         rules = default_rules()
+    known = {rule.name for rule in rules}
     findings: List[Finding] = []
-    contexts: Dict[str, FileContext] = {}
     for rel in sorted(sources):
-        ctx = FileContext(rel, module_name_for_rel(rel), sources[rel])
-        contexts[rel] = ctx
-        _check_context(ctx, rules, findings)
-    for rule in rules:
-        for finding in rule.finalize():
-            ctx = contexts.get(finding.path)
-            if ctx is not None and ctx.suppressed(finding.rule, finding.line):
-                continue
-            findings.append(finding)
+        try:
+            ctx = FileContext(rel, _module_name(rel), sources[rel])
+        except SyntaxError as exc:
+            findings.append(
+                Finding(
+                    rule="simlint",
+                    path=rel,
+                    line=exc.lineno or 1,
+                    col=exc.offset or 0,
+                    message=f"file does not parse: {exc.__class__.__name__}: {exc}",
+                    snippet="",
+                )
+            )
+            continue
+        for name in sorted(ctx.suppression_rules() - known):
+            findings.append(
+                Finding(
+                    rule="simlint",
+                    path=rel,
+                    line=1,
+                    col=0,
+                    message=f"suppression names unknown rule {name!r}",
+                    snippet=ctx.snippet(1),
+                )
+            )
+        for rule in rules:
+            if rule.applies_to(ctx.module):
+                findings.extend(
+                    finding
+                    for finding in rule.check_file(ctx)
+                    if not ctx.suppressed(finding.rule, finding.line)
+                )
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
+
+
+def run_checks(root: Path, rules: Sequence[Rule]) -> CheckRun:
+    """Run ``rules`` over every Python file under ``root``.
+
+    ``root`` is the package directory (e.g. ``src/repro``); paths in the
+    returned findings are relative to its *parent* (``repro/...``), so
+    reports are stable across checkouts.
+    """
+    root = Path(root).resolve()
+    sources: Dict[str, str] = {
+        path.relative_to(root.parent).as_posix(): path.read_text(
+            encoding="utf-8", errors="replace"
+        )
+        for path in root.rglob("*.py")
+    }
+    return CheckRun(findings=check_sources(sources, rules), checked_files=len(sources))
+
+
+def check_source(
+    source: str,
+    module: str = "repro.fixture",
+    rules: Optional[Sequence[Rule]] = None,
+) -> List[Finding]:
+    """Run rules over one in-memory source string as module ``module``."""
+    return check_sources({module.replace(".", "/") + ".py": source}, rules)

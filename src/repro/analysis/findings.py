@@ -1,17 +1,8 @@
-"""The unit of simlint output: one :class:`Finding` per rule violation.
-
-A finding carries both an exact location (path, line, column -- what the
-text reporter prints) and a *fingerprint*: a short stable hash of the rule
-name, the file, and the stripped source line.  The committed baseline
-matches findings by fingerprint rather than line number, so grandfathered
-findings survive unrelated edits above them in the file and go stale only
-when the offending line itself changes or moves to another file.
-"""
+"""The unit of simlint output: one :class:`Finding` per rule violation."""
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict
 
 __all__ = ["Finding"]
@@ -26,27 +17,11 @@ class Finding:
     line: int  #: 1-based line of the offending node
     col: int  #: 0-based column of the offending node
     message: str
-    snippet: str  #: the offending source line, stripped (fingerprint input)
-
-    @property
-    def fingerprint(self) -> str:
-        """Location-stable identity: hash of (rule, path, snippet)."""
-        digest = hashlib.sha256(
-            f"{self.rule}\x00{self.path}\x00{self.snippet}".encode("utf-8")
-        )
-        return digest.hexdigest()[:16]
+    snippet: str  #: the offending source line, stripped
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-able form (what ``check --json`` emits per finding)."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
-        }
+        return asdict(self)
 
     def render(self) -> str:
         """The one-line text-reporter form."""

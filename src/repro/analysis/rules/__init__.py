@@ -1,10 +1,6 @@
-"""The simlint rule set.
+"""The simlint rule set: the three rules of the determinism closure.
 
-:func:`default_rules` returns fresh instances of every project rule --
-fresh because rules may accumulate cross-file state between
-``check_file`` and ``finalize`` (see
-:class:`~repro.analysis.rules.slots.SlotsHotPathRule`), so instances must
-never be shared across runs.
+:func:`default_rules` returns fresh instances of every project rule.
 """
 
 from __future__ import annotations
@@ -12,14 +8,8 @@ from __future__ import annotations
 from typing import List, Type
 
 from ..engine import Rule
-from .dispatch import RegistryDispatchRule
-from .hygiene import (
-    DeterministicDictIterationRule,
-    NoFloatEqualityRule,
-    NoMutableDefaultArgsRule,
-)
+from .iteration import DeterministicDictIterationRule
 from .rng import NoUnseededRngRule
-from .slots import SlotsHotPathRule
 from .wallclock import NoWallClockRule
 
 __all__ = ["RULE_CLASSES", "default_rules"]
@@ -28,10 +18,6 @@ __all__ = ["RULE_CLASSES", "default_rules"]
 RULE_CLASSES: List[Type[Rule]] = [
     NoUnseededRngRule,
     NoWallClockRule,
-    SlotsHotPathRule,
-    RegistryDispatchRule,
-    NoMutableDefaultArgsRule,
-    NoFloatEqualityRule,
     DeterministicDictIterationRule,
 ]
 

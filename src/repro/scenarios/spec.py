@@ -17,7 +17,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..capacity.rates import rate_by_mbps
+from ..capacity.rates import OFDM_RATES, rate_by_mbps
 from ..constants import DEFAULT_TX_POWER_DBM, EXPERIMENT_PAYLOAD_BYTES, FREQ_5_GHZ
 from ..control.controllers import controller_rng
 from ..control.env import SimEnv
@@ -177,6 +177,20 @@ class Scenario:
                 raise ValueError(f"{name} must be finite")
         if self.cca_noise_db < 0:
             raise ValueError("cca_noise_db must be non-negative")
+        try:
+            rate_by_mbps(self.rate_mbps)
+        except KeyError:
+            known = ", ".join(f"{rate.mbps:g}" for rate in OFDM_RATES)
+            raise ValueError(
+                f"rate_mbps={self.rate_mbps} is not an OFDM rate (known: {known})"
+            ) from None
+        if self.payload_bytes < 1:
+            raise ValueError("payload_bytes must be at least 1")
+        if not (math.isfinite(self.tdma_slot_s) and self.tdma_slot_s > 0):
+            raise ValueError("tdma_slot_s must be finite and positive")
+        # +/-inf are legal thresholds (+inf never defers, like None).
+        if self.cca_threshold_dbm is not None and math.isnan(self.cca_threshold_dbm):
+            raise ValueError("cca_threshold_dbm must not be NaN (None disables carrier sense)")
         if self.detectability_margin_db is not None and (
             not math.isfinite(self.detectability_margin_db) or self.detectability_margin_db < 0
         ):

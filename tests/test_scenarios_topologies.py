@@ -105,6 +105,36 @@ def test_non_finite_fraction_fails_the_run_naming_the_field(topology, field, val
         scenario.run()
 
 
+@pytest.mark.parametrize(("overrides", "field"), [
+    ({"rate_mbps": 7.0}, "rate_mbps"),
+    ({"payload_bytes": 0}, "payload_bytes"),
+    ({"payload_bytes": -10}, "payload_bytes"),
+    ({"mac": "tdma", "tdma_slot_s": 0.0}, "tdma_slot_s"),
+    ({"mac": "tdma", "tdma_slot_s": float("inf")}, "tdma_slot_s"),
+    ({"cca_threshold_dbm": float("nan")}, "cca_threshold_dbm"),
+])
+def test_bad_scalar_field_fails_at_construction_naming_it(overrides, field):
+    """Each used to construct, then raise deep in the run (``KeyError`` for
+    the rate) or, for ``payload_bytes=0``, deliver empty frames."""
+    with pytest.raises(ValueError, match=field):
+        Scenario(topology="hidden_terminal", n_nodes=3, duration_s=0.05, **overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    *({"rate_mbps": mbps} for mbps in (6.0, 9.0, 12.0, 18.0, 24.0, 36.0, 48.0, 54.0)),
+    {"payload_bytes": 1},
+    {"mac": "tdma", "tdma_slot_s": 1e-6},
+    {"cca_threshold_dbm": float("inf")},
+    {"cca_threshold_dbm": float("-inf")},
+], ids=lambda overrides: ",".join(f"{k}={v}" for k, v in overrides.items()))
+def test_legal_scalar_boundary_constructs(overrides):
+    """The construction checks reject no legal value: every OFDM rate, the
+    one-byte payload, a tiny slot, and +/-inf CCA (+inf equals CCA off)."""
+    scenario = Scenario(topology="hidden_terminal", n_nodes=3, duration_s=0.05, **overrides)
+    for name, value in overrides.items():
+        assert getattr(scenario, name) == value
+
+
 def test_scale_free_grows_hub_degrees():
     placement = generate_topology("scale_free", n_nodes=60, extent=200.0, seed=1)
     indegree: dict = {}
