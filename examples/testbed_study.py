@@ -10,8 +10,9 @@ under a minute:
 3. choose competing pair combinations spanning close, transition, and far
    sender separations;
 4. for each combination and each bitrate, measure multiplexing (each pair
-   alone), concurrency (carrier sense disabled), and carrier sense -- one
-   runner task per combination, across two worker processes;
+   alone), concurrency (carrier sense disabled), and carrier sense -- four
+   ``testbed``-topology scenarios per combination and bitrate, run as one
+   study across two worker processes;
 5. print the per-combination scatter (the Figure 11 view) and the summary
    table (the Section 4.1 view), then the Section 5 exposed-terminal study,
    which reads the same measurements back from the result cache.

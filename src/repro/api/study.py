@@ -358,9 +358,7 @@ class StudyResult:
         """The whole sweep as one columnar :class:`~repro.results.ResultSet`.
 
         Tasks that failed under ``on_error="skip"`` are absent (see
-        :attr:`failures`).  A cache entry written before the columnar format
-        makes :meth:`ResultSet.concat` raise ``TypeError``; re-run with
-        :meth:`Study.force` or clear the cache.
+        :attr:`failures`).
         """
         if self._result_set is None:
             self._result_set = ResultSet.concat(self.completed)

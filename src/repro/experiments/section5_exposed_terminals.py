@@ -8,11 +8,11 @@ This harness reruns that comparison on the synthetic testbed's short-range
 pair combinations.
 
 The measurements come from the Section 4 campaign path
-(:func:`repro.experiments.testbed_section4.campaign_results`): one runner
-task per pair combination, across a worker pool and with disk caching when
-``workers`` / ``cache_dir`` are set.  With equal parameters its tasks are
-exactly those of ``figures-10-11``, so either experiment's cache serves the
-other.
+(:func:`repro.experiments.testbed_section4.campaign_results`): four
+``testbed`` scenarios per pair combination and bitrate, run as one study
+across a worker pool and with disk caching when ``workers`` / ``cache_dir``
+are set.  With equal parameters its scenarios are exactly those of
+``figures-10-11``, so either experiment's cache serves the other.
 """
 
 from __future__ import annotations

@@ -18,31 +18,35 @@ hardware/driver); the claims to reproduce are the orderings and rough
 fractions of optimal.
 
 ``figures-10-11``, ``figures-12-13`` and ``section-5`` share one campaign
-path, :func:`campaign_results`: one :func:`pair_task` per pair combination
-through a :class:`repro.api.Study` sweep, pooled and cached when ``workers``
-/ ``cache_dir`` are set.  Equal parameters give equal cache keys whichever
+path, :func:`campaign_results`.  Every run of the protocol is a
+:class:`repro.scenarios.Scenario` on the ``testbed`` topology (four per pair
+combination and bitrate, see :func:`cell_scenarios`), and the whole campaign
+runs as one :class:`repro.api.Study`, pooled and cached when ``workers`` /
+``cache_dir`` are set.  Equal parameters give equal cache keys whichever
 experiment asked.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+import math
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..api import Study
 from ..api.experiment import experiment
-from ..runner import ResultCache
+from ..capacity.rates import rate_by_mbps
+from ..scenarios import Scenario
 from ..testbed.experiment import (
-    CampaignSummary, PairExperimentResult, RateRunDetail, TestbedExperiment,
+    CampaignSummary, PairExperimentResult, RateRunDetail, summarise,
 )
-from ..testbed.layout import TestbedLayout, generate_office_layout
+from ..testbed.layout import default_office_layout
 from ..testbed.pairs import CompetingPairs, select_competing_pairs
 from .base import ExperimentResult
 
 __all__ = [
     "run",
-    "pair_task",
+    "cell_scenarios",
+    "measure_combinations",
     "campaign_results",
     "PAPER_SHORT_RANGE",
     "PAPER_LONG_RANGE",
@@ -51,8 +55,6 @@ __all__ = [
 ]
 
 EXPERIMENT_ID = "figures-10-13"
-
-PAIR_TASK_PATH = "repro.experiments.testbed_section4.pair_task"
 
 PAPER_SHORT_RANGE = {
     "optimal_pps": 1753,
@@ -88,39 +90,92 @@ def _scatter(summary: CampaignSummary) -> List[Dict[str, float]]:
 @lru_cache(maxsize=4)
 def _default_selection(
     link_class: str, n_combinations: int, seed: int
-) -> Tuple[TestbedLayout, Tuple[CompetingPairs, ...]]:
-    """The default office layout and its pair combinations, memoised per
-    process: worker processes rebuild them from these scalars."""
-    layout = generate_office_layout()
+) -> Tuple[CompetingPairs, ...]:
+    """The default layout's pair combinations, memoised per process."""
     # Long-range links are weak because of obstructions (floors, walls), not
     # because sender and receiver span the whole building; keep the physically
     # nearer half of the in-band links for that class (see select_links).
     prefer_nearby = 0.5 if link_class == "long" else None
-    combos = select_competing_pairs(
-        layout,
+    return tuple(select_competing_pairs(
+        default_office_layout(),
         link_class,
         n_combinations=n_combinations,
         seed=seed,
         prefer_nearby_fraction=prefer_nearby,
+    ))
+
+
+def cell_scenarios(
+    pairs: CompetingPairs, rate_mbps: float, run_duration_s: float, seed: int
+) -> Tuple[Scenario, ...]:
+    """The four runs of one combination at one fixed bitrate (a *cell*).
+
+    Pair A alone, pair B alone, both with carrier sense off, and both with
+    the default hardware carrier sense (-82 dBm): the order of
+    :class:`RateRunDetail`'s counts, one flow per solo run and two per
+    competing run.
+    """
+    a = [pairs.pair_a.sender, pairs.pair_a.receiver]
+    b = [pairs.pair_b.sender, pairs.pair_b.receiver]
+    solo = Scenario(
+        name="solo", topology="testbed", n_nodes=2, topology_params={"nodes": a},
+        seed=seed, rate_mbps=rate_mbps, duration_s=run_duration_s,
     )
-    return layout, tuple(combos)
+    both = solo.with_overrides(n_nodes=4, topology_params={"nodes": a + b})
+    return (
+        solo,
+        solo.with_overrides(topology_params={"nodes": b}),
+        both.with_overrides(name="concurrency", cca_threshold_dbm=None),
+        both.with_overrides(name="carrier-sense"),
+    )
 
 
-def pair_task(
-    combo_index: int,
-    link_class: str,
-    n_combinations: int,
+def _check_protocol(rates_mbps: Sequence[float], run_duration_s: float) -> None:
+    if not (math.isfinite(run_duration_s) and run_duration_s > 0):
+        raise ValueError(f"run_duration_s must be finite and positive, got {run_duration_s}")
+    if not rates_mbps:
+        raise ValueError("rates_mbps must name at least one bitrate")
+    for rate in rates_mbps:
+        try:
+            rate_by_mbps(float(rate))
+        except KeyError:
+            raise ValueError(f"rates_mbps: {rate} Mbps is not an 802.11a rate") from None
+
+
+def measure_combinations(
+    combos: Sequence[CompetingPairs],
+    rates_mbps: Sequence[float],
     run_duration_s: float,
-    rates_mbps: List[float],
     seed: int,
-) -> Dict[str, object]:
-    """Measure one pair combination of the default campaign (JSON-able)."""
-    layout, combos = _default_selection(link_class, n_combinations, seed)
-    experiment = TestbedExperiment(
-        layout, rates_mbps=tuple(rates_mbps), run_duration_s=run_duration_s, seed=seed
+    workers: int = 0,
+    cache_dir: Optional[str] = None,
+) -> Tuple[Tuple[PairExperimentResult, ...], str]:
+    """Run the Section 4 protocol on each combination at every bitrate.
+
+    Every cell's four scenarios run as one study; returns the
+    per-combination results and the runner's summary line.  Bad rates or
+    durations raise ``ValueError`` naming the field before any run.
+    """
+    _check_protocol(rates_mbps, run_duration_s)
+    rates = [float(rate) for rate in rates_mbps]
+    scenarios = [
+        scenario
+        for pairs in combos
+        for rate in rates
+        for scenario in cell_scenarios(pairs, rate, run_duration_s, seed)
+    ]
+    study_run = Study.of(scenarios).cache(cache_dir or None).run(workers=workers)
+    # Six delivered-packet counts per cell, in RateRunDetail's field order.
+    counts = study_run.results().delivered_packets.reshape(len(combos), len(rates), 6)
+    results = tuple(
+        summarise(
+            pairs,
+            [RateRunDetail(rate, *cell) for rate, cell in zip(rates, rows.tolist())],
+            run_duration_s,
+        )
+        for pairs, rows in zip(combos, counts)
     )
-    details = experiment.measure_rates(combos[combo_index])
-    return {"per_rate": [asdict(detail) for detail in details]}
+    return results, study_run.report.summary()
 
 
 def campaign_results(
@@ -141,31 +196,10 @@ def campaign_results(
         raise ValueError(f"link_class must be 'short' or 'long', got {link_class!r}")
     if n_combinations < 1:
         raise ValueError(f"n_combinations must be at least 1, got {n_combinations}")
-    layout, combos = _default_selection(link_class, n_combinations, seed)
-    # Constructed before the sweep: it validates the duration and the rates.
-    experiment = TestbedExperiment(
-        layout, rates_mbps=tuple(rates_mbps), run_duration_s=run_duration_s, seed=seed
+    combos = _default_selection(link_class, n_combinations, seed)
+    return measure_combinations(
+        combos, rates_mbps, run_duration_s, seed, workers=workers, cache_dir=cache_dir
     )
-    study_run = (
-        Study.tasks(
-            PAIR_TASK_PATH,
-            {
-                "link_class": link_class,
-                "n_combinations": n_combinations,
-                "run_duration_s": run_duration_s,
-                "rates_mbps": list(experiment.rates_mbps),
-                "seed": seed,
-            },
-        )
-        .sweep(combo_index=list(range(len(combos))))
-        .cache(ResultCache(cache_dir) if cache_dir else None)
-        .run(workers=workers)
-    )
-    results = tuple(
-        experiment.summarise(combo, [RateRunDetail(**detail) for detail in task["per_rate"]])
-        for combo, task in zip(combos, study_run.raw)
-    )
-    return results, study_run.report.summary()
 
 
 def run(

@@ -263,13 +263,6 @@ class ResultSet:
     def concat(cls, parts: Iterable["ResultSet"]) -> "ResultSet":
         """Concatenate ResultSets: scenarios append, codes are remapped."""
         parts = [part for part in parts if part is not None]
-        for part in parts:
-            if not isinstance(part, ResultSet):
-                raise TypeError(
-                    f"ResultSet.concat got a {type(part).__name__}, not a ResultSet: "
-                    f"a result cached before the columnar format? Re-run with "
-                    f"force, or clear the result cache"
-                )
         if not parts:
             return cls.empty()
         if len(parts) == 1:

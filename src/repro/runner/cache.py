@@ -15,14 +15,11 @@ Two result encodings share the store:
   ``format`` (``"packed/1"``) and ``config``, then the
   :meth:`~repro.results.ResultSet.pack` bytes, so a hit reads one file.
 
-An unreadable entry (wrong magic, another key or format, a body that does
-not unpack) evicts every ``<key>.*`` file, and the task re-executes once; so
-does a two-file entry of older versions (a JSON manifest next to a raw
-packed ``.bin`` or an ``.npz`` sidecar).
-
-A scenario entry written before the columnar format (an inline dict) is
-returned as stored; :meth:`repro.results.ResultSet.concat` rejects it with a
-``TypeError`` naming the remedy (re-run with ``force``, or clear the cache).
+An unusable entry evicts every ``<key>.*`` file, and the task re-executes
+once.  Unusable means unreadable (wrong magic, another key or format, a body
+that does not unpack) or written by an older version: a two-file entry (a
+JSON manifest next to a raw packed ``.bin`` or an ``.npz`` sidecar), or a
+scenario result stored inline before the columnar format.
 """
 
 from __future__ import annotations
@@ -51,6 +48,11 @@ _PREFIX = struct.Struct("<8sI")
 
 #: The result of the manifest older versions wrote next to a sidecar.
 _RETIRED_MANIFEST = "__repro_resultset__"
+
+#: The scenario worker entry point (named, not imported: the runner does not
+#: import the scenarios).  Its results are stored as ``.bin``, so an inline
+#: ``.json`` entry under it predates the columnar format.
+RUN_SCENARIO_PATH = "repro.scenarios.execute.run_scenario"
 
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
@@ -200,6 +202,9 @@ def _decode_json(blob: bytes) -> Optional[Dict[str, Any]]:
     try:
         entry = json.loads(blob.decode("utf-8"))
         result = entry["result"]
+        config = entry.get("config")
     except (ValueError, TypeError, KeyError):  # not UTF-8 or JSON, or no result
+        return None
+    if isinstance(config, dict) and config.get("fn") == RUN_SCENARIO_PATH:
         return None
     return None if isinstance(result, dict) and _RETIRED_MANIFEST in result else entry

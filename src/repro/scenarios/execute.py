@@ -27,6 +27,7 @@ import numpy as np
 
 from ..results import ResultSet
 from ..runner.batch import BatchTask
+from ..runner.cache import RUN_SCENARIO_PATH
 from .spec import Scenario
 
 __all__ = [
@@ -36,8 +37,6 @@ __all__ = [
     "aggregate_metrics",
     "unpruned_variant",
 ]
-
-RUN_SCENARIO_PATH = "repro.scenarios.execute.run_scenario"
 
 #: Warm states kept per worker process.  Each holds one placement and its
 #: link rows: the condensed shadowing (N (N - 1) / 2 floats, ~1 MB at 500

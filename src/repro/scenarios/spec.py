@@ -253,6 +253,14 @@ class Scenario:
             rng=np.random.default_rng(np.random.SeedSequence(entropy=(int(self.seed), 1))),
         )
 
+    def _channel_for(self, placement: Placement) -> ChannelModel:
+        """:meth:`channel` with the placement's pinned shadowing, set before
+        any draw (the cold build and the warm state both draw from it)."""
+        channel = self.channel()
+        for a, b, value_db in placement.pinned_shadowing_db:
+            channel.set_shadowing_db(a, b, value_db)
+        return channel
+
     # Fields that fully determine the node placement and the rx-power matrix.
     # Scenarios sharing these (grid points differing only in traffic, MAC,
     # CCA, or measurement settings) can reuse one precomputed warm state.
@@ -291,7 +299,9 @@ class Scenario:
         # Shared with cold routed builds, which use the state internally
         # rather than hand it over.
         placement = self.placement()
-        rows = LinkRows(self.channel(), list(placement.positions), placement.positions)
+        rows = LinkRows(
+            self._channel_for(placement), list(placement.positions), placement.positions
+        )
         return placement, rows
 
     def route_table(self, warm: Optional[WarmState] = None) -> RouteTable:
@@ -335,9 +345,14 @@ class Scenario:
         """
         if warm is None and self.routing is not None:
             warm = self._warm_state()
-        placement = warm[0] if warm is not None else self.placement()
+        if warm is None:
+            placement = self.placement()
+            channel = self._channel_for(placement)
+        else:
+            # The primed rows carry any pinned shadowing (see _warm_state).
+            placement, channel = warm[0], self.channel()
         net = WirelessNetwork(
-            channel=self.channel(),
+            channel=channel,
             seed=self.seed,
             cca_threshold_dbm=self.cca_threshold_dbm,
             detectability_margin_db=self.detectability_margin_db,

@@ -6,11 +6,12 @@ traffic flows, ready to feed :class:`repro.simulation.network.WirelessNetwork`.
 Generators are registered by name in :data:`TOPOLOGIES` so sweeps and the
 CLI can select them declaratively.
 
-All generators are deterministic for a given seed (canonical layouts carry a
-small seeded jitter so distinct seeds still give distinct buildings), respect
-``n_nodes`` exactly (nodes that do not fit the layout's group size become
-passive listeners), and keep every coordinate inside the box
-``[-1.5 * extent, 1.5 * extent]``.
+The seeded generators are deterministic for a given seed (canonical layouts
+carry a small seeded jitter so distinct seeds still give distinct buildings),
+respect ``n_nodes`` exactly (nodes that do not fit the layout's group size
+become passive listeners), and keep every coordinate inside the box
+``[-1.5 * extent, 1.5 * extent]``.  The ``testbed`` generator instead places
+named stations of the synthetic office building (see :func:`testbed`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,11 +37,18 @@ Position = Tuple[float, float]
 
 @dataclass(frozen=True)
 class Placement:
-    """Node placements and traffic flows produced by a topology generator."""
+    """Node placements and traffic flows produced by a topology generator.
+
+    ``pinned_shadowing_db`` holds ``(a, b, dB)`` for node pairs whose static
+    shadowing the layout fixes (a measured building rather than a seeded
+    draw); :class:`~repro.scenarios.spec.Scenario` pins them on its channel
+    before any draw.  Empty for the seeded generators.
+    """
 
     topology: str
     positions: Dict[str, Position]
     flows: Tuple[Tuple[str, str], ...]
+    pinned_shadowing_db: Tuple[Tuple[str, str, float], ...] = ()
 
     @property
     def n_nodes(self) -> int:
@@ -468,3 +476,34 @@ def line(
             f"unknown line flow mode {flows!r} (known: adjacent, end_to_end, to_gateway)"
         )
     return Placement("line", positions, flow_pairs)
+
+
+@register_topology("testbed")
+def testbed(
+    n_nodes: int, extent: float, rng: np.random.Generator, nodes: Sequence[str] = ()
+) -> Placement:
+    """Named stations of :func:`repro.testbed.layout.default_office_layout`.
+
+    ``nodes`` lists ``n_nodes`` distinct station ids, an even count; flows
+    pair consecutive ids (``[sa, ra, sb, rb]``: two competing pairs).  The
+    layout fixes positions and pins every pair's shadowing, so ``extent``
+    and the seed play no part.
+    """
+    from ..testbed.layout import default_office_layout  # only this generator needs it
+
+    layout = default_office_layout()
+    nodes = list(nodes)
+    if len(nodes) % 2:
+        raise ValueError(f"nodes must pair senders with receivers, got an odd count: {nodes}")
+    if len(nodes) != n_nodes:
+        raise ValueError(f"nodes lists {len(nodes)} stations but n_nodes is {n_nodes}")
+    if len(set(nodes)) != len(nodes):
+        raise ValueError(f"nodes must be distinct, got {nodes}")
+    known = set(layout.node_ids)
+    unknown = [node for node in nodes if node not in known]
+    if unknown:
+        raise ValueError(f"nodes: unknown testbed stations {unknown}")
+    positions = {node: layout.node(node).position for node in nodes}
+    pinned = tuple((a, b, layout.channel.shadowing_db(a, b))
+                   for i, a in enumerate(nodes) for b in nodes[i + 1:])
+    return Placement("testbed", positions, _pair_consecutive(nodes), pinned)

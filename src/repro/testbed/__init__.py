@@ -1,10 +1,12 @@
-"""Synthetic indoor testbed and the Section 4 / Section 5 experiment protocols.
+"""Synthetic indoor testbed and the Section 4 / Section 5 result records.
 
 Substitutes for the paper's ~50-node Atheros/Soekris 802.11a testbed: a
 deterministic office-building layout with the propagation statistics the
 paper measured, link probing (delivery rate and RSSI), pair selection by
-link-quality class, the competing-pairs measurement protocol, and the
-exposed-terminal study.
+link-quality class, the best-rate summary of the competing-pairs protocol,
+and the exposed-terminal study.  The protocol's runs are scenarios on the
+``testbed`` topology (:mod:`repro.scenarios`), which places this layout's
+stations; :mod:`repro.experiments.testbed_section4` builds and runs them.
 """
 
 from .experiment import (
@@ -12,10 +14,10 @@ from .experiment import (
     PairExperimentResult,
     RateRunDetail,
     StrategyThroughput,
-    TestbedExperiment,
+    summarise,
 )
 from .exposed import ExposedTerminalStudy, exposed_terminal_study
-from .layout import TestbedLayout, TestbedNode, generate_office_layout
+from .layout import TestbedLayout, TestbedNode, default_office_layout, generate_office_layout
 from .measurement import LinkMeasurement, measure_all_links, measure_link, rssi_survey
 from .pairs import CandidatePair, CompetingPairs, select_competing_pairs, select_links
 
@@ -23,6 +25,7 @@ __all__ = [
     "TestbedNode",
     "TestbedLayout",
     "generate_office_layout",
+    "default_office_layout",
     "LinkMeasurement",
     "measure_link",
     "measure_all_links",
@@ -35,7 +38,7 @@ __all__ = [
     "StrategyThroughput",
     "PairExperimentResult",
     "CampaignSummary",
-    "TestbedExperiment",
+    "summarise",
     "ExposedTerminalStudy",
     "exposed_terminal_study",
 ]

@@ -10,7 +10,9 @@ bitrate adaptation: on the short-range test set,
 * combining both yields "only about 3 % more than bitrate adaptation alone".
 
 This module computes exactly those three comparisons from the per-rate detail
-already gathered by :class:`repro.testbed.experiment.TestbedExperiment`:
+the Section 4 campaign already gathered (the
+:class:`~repro.testbed.experiment.RateRunDetail` counts of each
+:class:`~repro.testbed.experiment.PairExperimentResult`):
 
 * *base rate, CS*           -- carrier-sense throughput at 6 Mbps;
 * *base rate, exposed*      -- per combination, the better of carrier sense

@@ -19,7 +19,8 @@ benchmark sees the same synthetic building.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -28,7 +29,7 @@ from ..constants import DEFAULT_TX_POWER_DBM, FREQ_5_GHZ
 from ..propagation.channel import ChannelModel
 from ..propagation.pathloss import LogDistancePathLoss
 
-__all__ = ["TestbedNode", "TestbedLayout", "generate_office_layout"]
+__all__ = ["TestbedNode", "TestbedLayout", "generate_office_layout", "default_office_layout"]
 
 
 @dataclass(frozen=True)
@@ -167,3 +168,11 @@ def generate_office_layout(
                 value -= floor_attenuation_db
             channel.set_shadowing_db(a, b, value)
     return layout
+
+
+@lru_cache(maxsize=1)
+def default_office_layout() -> TestbedLayout:
+    """:func:`generate_office_layout` with its defaults, the layout every
+    testbed experiment simulates, built once per process.  Shared: read it
+    only (its pinned shadowing and fading-free link budgets draw nothing)."""
+    return generate_office_layout()

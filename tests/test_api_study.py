@@ -18,7 +18,7 @@ from repro.api import EXPERIMENTS, ResultSet, Study, placement_seed, registry
 from repro.api.experiment import parse_overrides
 from repro.experiments import run_scenarios
 from repro.experiments.__main__ import main
-from repro.runner import ResultCache, config_hash, expand_grid
+from repro.runner import BatchRunner, ResultCache, config_hash, expand_grid
 from repro.scenarios import Scenario, aggregate_metrics, scenario_task
 from repro.simulation.mac.csma import CsmaMac
 from repro.simulation.traffic import SaturatedTraffic
@@ -186,30 +186,28 @@ class TestStudyFacade:
 
     def test_mixed_old_and_new_cache_entries(self, tmp_path):
         """A sweep where one entry predates the columnar format (an inline
-        dict result) fails on ``results()`` with a TypeError that names the
-        stale part and the remedy; ``force`` rewrites it columnar."""
+        dict result) re-executes that task once; the next run is all hits,
+        and ``results()`` equals a fresh run."""
         study = Study(topology="line", duration_s=0.1).sweep(n_nodes=[4, 6])
         scenarios = study.scenarios()
         cache = ResultCache(tmp_path / "cache")
+        BatchRunner(workers=0, cache=cache).run([scenario_task(scenarios[1])])
         # Pre-seed task 0 with an old-format inline-JSON entry.
         task = scenario_task(scenarios[0])
         stale = {"name": scenarios[0].name, "total_pps": 1.0, "per_flow_pps": {"a->b": 1.0}}
         path = cache._path(task.cache_key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(
-            {"key": task.cache_key, "config": task.config, "result": stale}
+            {"key": task.cache_key, "config": {"fn": task.fn, "config": task.config},
+             "result": stale}
         ))
         run = study.cache(cache).run()
-        assert run.report.cache_hits == 1 and run.report.executed == 1
-        with pytest.raises(TypeError, match=r"got a dict.*force.*clear the result cache"):
-            run.results()
-        with pytest.raises(TypeError, match="got a dict"):
-            run.aggregate()
-
-        forced = study.cache(cache).force().run()
+        assert run.report.executed == 1 and run.report.cache_hits == 1
+        again = study.cache(cache).run()
+        assert again.report.executed == 0 and again.report.cache_hits == 2
         fresh = ResultSet.concat([s.run() for s in scenarios])
-        assert forced.results() == fresh
-        assert study.cache(cache).run().results() == fresh  # rewritten columnar
+        assert run.results() == fresh
+        assert again.results() == fresh
 
     def test_task_study_explicit_and_swept(self):
         base = {"base_seed": 7}

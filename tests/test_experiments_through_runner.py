@@ -3,10 +3,14 @@
 Figure 4 and the testbed campaigns (Figures 10-13 and Section 5) run their
 per-unit work as runner tasks; these tests pin that contract: identical
 numbers in-process, across a worker pool, and through a warm cache -- and
-one cache shared by every testbed campaign with equal parameters.
+one cache shared by every testbed campaign with equal parameters.  The
+testbed campaigns are also held to per-cell packet counts recorded before
+they ran as scenarios.
 """
 
 from __future__ import annotations
+
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from repro.experiments import figure04_curves, run_scenarios, section5_exposed_t
 from repro.experiments import testbed_section4
 from repro.experiments.__main__ import main
 from repro.testbed.exposed import exposed_terminal_study
-from repro.testbed.experiment import CampaignSummary, TestbedExperiment
+from repro.testbed.experiment import CampaignSummary, RateRunDetail, summarise
 from repro.testbed.layout import generate_office_layout
 from repro.testbed.pairs import select_competing_pairs
 
@@ -49,30 +53,93 @@ class TestFigure04ThroughRunner:
         assert _executed_none(cached_warm)
 
 
-def _classic_results(link_class: str):
-    """The in-process oracle: ``TestbedExperiment.run_pair`` per combination
-    of the default layout, outside the runner."""
-    layout = generate_office_layout()
-    combos = select_competing_pairs(
-        layout,
+#: Every RateRunDetail of the S5_KW campaigns, as recorded by the testbed's
+#: former dedicated network builder, before the protocol ran as scenarios:
+#: per link class and combination, the stations (sa, ra, sb, rb) and each
+#: rate's (rate, solo_a, solo_b, concurrency_a, concurrency_b, cs_a, cs_b).
+RECORDED_S5 = {
+    "short": (
+        (("n11", "n28", "n16", "n09"),
+         ((6.0, 97, 97, 96, 98, 48, 51), (12.0, 184, 184, 179, 183, 92, 98))),
+        (("n11", "n36", "n33", "n08"),
+         ((6.0, 97, 97, 0, 98, 0, 98), (12.0, 184, 184, 0, 183, 0, 183))),
+    ),
+    "long": (
+        (("n09", "n12", "n24", "n41"),
+         ((6.0, 97, 97, 0, 0, 48, 51), (12.0, 182, 183, 0, 0, 90, 98))),
+        (("n28", "n06", "n49", "n10"),
+         ((6.0, 97, 97, 0, 0, 24, 27), (12.0, 182, 181, 0, 0, 51, 47))),
+    ),
+}
+
+
+def _combos(link_class: str):
+    """The S5_KW pair combinations of the default layout."""
+    return select_competing_pairs(
+        generate_office_layout(),
         link_class,
         n_combinations=S5_KW["n_combinations"],
         seed=S5_KW["seed"],
         prefer_nearby_fraction=0.5 if link_class == "long" else None,
     )
-    experiment = TestbedExperiment(
-        layout,
-        rates_mbps=S5_KW["rates_mbps"],
-        run_duration_s=S5_KW["run_duration_s"],
-        seed=S5_KW["seed"],
+
+
+def _stations(pairs):
+    return (pairs.pair_a.sender, pairs.pair_a.receiver,
+            pairs.pair_b.sender, pairs.pair_b.receiver)
+
+
+def _recorded_results(link_class: str):
+    """The recorded counts, summarised like a campaign run."""
+    combos = _combos(link_class)
+    assert [_stations(pairs) for pairs in combos] == [
+        stations for stations, _ in RECORDED_S5[link_class]
+    ]
+    return tuple(
+        summarise(pairs, [RateRunDetail(*cell) for cell in cells], S5_KW["run_duration_s"])
+        for pairs, (_, cells) in zip(combos, RECORDED_S5[link_class])
     )
-    return tuple(experiment.run_pair(pairs) for pairs in combos)
+
+
+@pytest.mark.parametrize("link_class", ["short", "long"])
+class TestRecordedCells:
+    """Each cell's four scenarios reproduce the recorded counts exactly,
+    however they run."""
+
+    def test_cold_scenario_runs(self, link_class):
+        measured = []
+        for pairs in _combos(link_class):
+            cells = []
+            for rate in S5_KW["rates_mbps"]:
+                runs = testbed_section4.cell_scenarios(
+                    pairs, rate, S5_KW["run_duration_s"], S5_KW["seed"]
+                )
+                counts = [int(n) for s in runs for n in s.run().delivered_packets]
+                cells.append((rate, *counts))
+            measured.append((_stations(pairs), tuple(cells)))
+        assert tuple(measured) == RECORDED_S5[link_class]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_study_warm_path(self, link_class, workers):
+        """Through ``run_scenario``, which hands each placement's warm state
+        to every run that shares it, in-process and across two workers."""
+        combos = _combos(link_class)
+        results, note = testbed_section4.measure_combinations(
+            combos, S5_KW["rates_mbps"], S5_KW["run_duration_s"], S5_KW["seed"],
+            workers=workers,
+        )
+        measured = tuple(
+            (_stations(pairs), tuple(astuple(d) for d in result.per_rate))
+            for pairs, result in zip(combos, results)
+        )
+        assert measured == RECORDED_S5[link_class]
+        assert note.startswith("16 tasks: 16 executed")
 
 
 class TestSection4ThroughRunner:
     @pytest.mark.parametrize("link_class", ["short", "long"])
-    def test_matches_classic_campaign(self, link_class):
-        reference = CampaignSummary(results=_classic_results(link_class))
+    def test_matches_recorded_campaign(self, link_class):
+        reference = CampaignSummary(results=_recorded_results(link_class))
         result = testbed_section4.run(link_class=link_class, **S5_KW)
         assert result.data["campaign"] == reference
 
@@ -89,9 +156,9 @@ class TestSection4ThroughRunner:
 
 
 class TestSection5ThroughRunner:
-    def test_matches_classic_campaign(self):
-        """The runner path reproduces the in-process protocol."""
-        reference = exposed_terminal_study(_classic_results("short"))
+    def test_matches_recorded_campaign(self):
+        """The runner path reproduces the recorded counts."""
+        reference = exposed_terminal_study(_recorded_results("short"))
         measured = section5_exposed_terminals.run(**S5_KW).data["measured"]
         assert measured["adaptation_gain"] == reference.adaptation_gain
         assert measured["exposed_gain_at_base_rate"] == reference.exposed_gain_at_base_rate

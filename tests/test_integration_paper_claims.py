@@ -14,7 +14,8 @@ from repro.constants import DEFAULT_NOISE_RATIO
 from repro.core.averaging import average_policies, throughput_curves
 from repro.core.geometry import Scenario
 from repro.core.thresholds import optimal_threshold
-from repro.testbed.experiment import CampaignSummary, TestbedExperiment
+from repro.experiments.testbed_section4 import measure_combinations
+from repro.testbed.experiment import CampaignSummary
 from repro.testbed.layout import generate_office_layout
 from repro.testbed.pairs import select_competing_pairs
 
@@ -106,10 +107,10 @@ class TestTestbedCampaignSmall:
     def test_short_range_carrier_sense_close_to_optimal(self):
         layout = generate_office_layout(seed=7)
         combos = select_competing_pairs(layout, "short", n_combinations=4, seed=3)
-        experiment = TestbedExperiment(
-            layout, rates_mbps=(6.0, 12.0, 24.0), run_duration_s=1.0, seed=1
+        results, _ = measure_combinations(
+            combos, rates_mbps=(6.0, 12.0, 24.0), run_duration_s=1.0, seed=1
         )
-        summary = CampaignSummary(results=tuple(experiment.run_pair(pairs) for pairs in combos))
+        summary = CampaignSummary(results=results)
         assert summary.fraction_of_optimal("carrier_sense") > 0.8
         # Carrier sense tracks the better static policy to within a few percent
         # even on this tiny (4-combination) sample.

@@ -21,6 +21,8 @@ from repro.simulation.medium import RESYNC_INTERVAL, Medium
 from repro.simulation.phy import ReceptionModel
 from repro.simulation.radio import Radio
 
+from _topologies import sized
+
 
 def build_medium(positions, detectability_margin_db=16.0, cca=-82.0):
     sim = Simulator()
@@ -269,8 +271,7 @@ def _scenario(topology, **overrides):
     """A small scenario on the given topology with deterministic CCA."""
     params = {
         "name": f"eq-{topology}",
-        "topology": topology,
-        "n_nodes": 12,
+        **sized(topology, 12),
         "extent_m": 120.0,
         "seed": 7,
         "sigma_db": 0.0,

@@ -22,6 +22,8 @@ from repro.simulation.frames import BROADCAST, FlowTag, Frame, FrameKind
 from repro.simulation.medium import LinkRows
 from repro.simulation.stats import NodeStats
 
+from _topologies import sized
+
 
 def data_frame(src, dst, flow_src, flow_dst, hops=1, enqueued_at=-1.0, payload=1400):
     return Frame(
@@ -150,8 +152,7 @@ class TestBitIdentityGuard:
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
     def test_degenerate_multihop_matches_direct_run(self, topology):
         base = dict(
-            topology=topology,
-            n_nodes=6,
+            **sized(topology, 6),
             extent_m=120.0,
             seed=3,
             duration_s=0.25,

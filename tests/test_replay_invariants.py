@@ -4,6 +4,9 @@
   in any one field must hash to different result-cache keys, and the
   plain-dict form must rebuild the same spec; otherwise the cache would
   serve one scenario's results for the other.
+  The ``testbed`` topology's station list is its whole layout, so any
+  change to it changes the key too, and the testbed campaigns with equal
+  parameters run the same keys.
 * **Existing cache keys never change.**  Literal keys are pinned for the
   default spec and for one spec per field group that ``as_config()`` omits
   while unset, so a new field emitted as ``None``, or any other change to
@@ -26,8 +29,12 @@ from dataclasses import fields, replace
 
 import pytest
 
+import repro.experiments  # noqa: F401 -- registers the builtin experiments
+from repro.api import EXPERIMENTS
 from repro.scenarios import TOPOLOGIES, Scenario
 from repro.scenarios.execute import scenario_task
+
+from _topologies import sized
 
 #: A small base spec; each variant changes one field from it.
 BASE = Scenario(n_nodes=4, duration_s=0.02)
@@ -161,6 +168,41 @@ PINNED_KEYS = {
 }
 
 
+#: Four stations of the office layout, as two competing pairs.
+TESTBED_NODES = ["n20", "n37", "n13", "n18"]
+
+
+def test_testbed_station_choice_reaches_the_cache_key():
+    """The ``testbed`` placement is named by its station list alone, so
+    every change to it -- pair order, link direction, one station -- must
+    change the key."""
+    base = Scenario(topology="testbed", n_nodes=4, topology_params={"nodes": TESTBED_NODES})
+    variants = [
+        TESTBED_NODES,
+        ["n13", "n18", "n20", "n37"],
+        ["n37", "n20", "n13", "n18"],
+        ["n20", "n37", "n13", "n19"],
+    ]
+    keys = {
+        scenario_task(base.with_overrides(topology_params={"nodes": nodes})).cache_key
+        for nodes in variants
+    }
+    assert len(keys) == len(variants)
+
+
+def test_testbed_campaigns_with_equal_parameters_share_every_key(tmp_path):
+    """``figures-10-11`` and ``section-5`` run the same scenarios: the
+    second finds every one of its keys in the first one's cache."""
+    params = dict(n_combinations=2, run_duration_s=0.05, rates_mbps=(6.0, 12.0), seed=3,
+                  cache_dir=str(tmp_path))
+    EXPERIMENTS["figures-10-11"].run(**params)
+    keys = sorted(path.name for path in tmp_path.rglob("*.*"))
+    shared = EXPERIMENTS["section-5"].run(**params)
+    assert sorted(path.name for path in tmp_path.rglob("*.*")) == keys
+    assert len(keys) == 2 * 2 * 4
+    assert any(": 0 executed," in note for note in shared.notes)
+
+
 def _changed_keys():
     """Names of the pinned specs whose cache key no longer matches its pin."""
     return [
@@ -192,7 +234,7 @@ def _replay_mismatches():
     first run in the same process."""
     topologies = sorted(TOPOLOGIES)
     specs = {
-        name: Scenario(topology=name, n_nodes=8, duration_s=0.05, sigma_db=6.0)
+        name: Scenario(**sized(name, 8), duration_s=0.05, sigma_db=6.0)
         for name in topologies
     }
     first = {name: specs[name].run() for name in topologies}
@@ -201,7 +243,7 @@ def _replay_mismatches():
         topology="scale_free", mac="tdma", n_nodes=30, duration_s=0.05, sigma_db=6.0
     ).run()
     again = {name: specs[name].run() for name in reversed(topologies)}
-    assert len(first) == 7
+    assert len(first) == 8
     return [name for name in topologies if again[name] != first[name]]
 
 

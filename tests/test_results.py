@@ -2,8 +2,8 @@
 
 The contract under test: the ResultSet is the native currency of scenario
 runs; its binary form round-trips losslessly for every seeded topology; and
-a cache entry written before the columnar format is rejected with a
-``TypeError`` that names the remedy rather than silently lifted.
+a cache entry written before the columnar format is evicted and re-executed
+once rather than served.
 """
 
 from __future__ import annotations
@@ -22,9 +22,12 @@ from repro.results import FLOW_COLUMNS, ResultSet
 from repro.runner import BatchRunner, ResultCache, config_hash
 from repro.scenarios import TOPOLOGIES, Scenario, scenario_task
 
-#: One cheap scenario per registered topology (all 7 seeded generators).
+from _topologies import sized
+
+
+#: One cheap scenario per registered topology.
 ALL_TOPOLOGY_SCENARIOS = [
-    Scenario(name=f"rt-{name}", topology=name, n_nodes=9, extent_m=150.0,
+    Scenario(name=f"rt-{name}", **sized(name, 9), extent_m=150.0,
              duration_s=0.1, seed=11 + i)
     for i, name in enumerate(sorted(TOPOLOGIES))
 ]
@@ -487,9 +490,9 @@ class TestCacheIntegration:
         assert [path.name for path in cache.root.rglob("*.*")] == [f"{key}.json"]
         assert cache.get_result(key) == {"y": 3}
 
-    def test_old_format_json_entry_rejected_by_concat(self, tmp_path):
-        """A pre-columnar cache entry (inline dict result) is served as
-        stored, and concatenating it raises a TypeError naming the remedy."""
+    def test_old_format_json_entry_evicted_and_reexecuted(self, tmp_path):
+        """A pre-columnar cache entry (inline dict result) is unusable like
+        any other: evicted, re-executed once, then served as a hit."""
         cache = ResultCache(tmp_path / "cache")
         scenarios = ALL_TOPOLOGY_SCENARIOS[:2]
         task = scenario_task(scenarios[0])
@@ -498,17 +501,17 @@ class TestCacheIntegration:
         path = cache._path(task.cache_key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(
-            {"key": task.cache_key, "config": task.config, "result": stale}
+            {"key": task.cache_key, "config": {"fn": task.fn, "config": task.config},
+             "result": stale}
         ))
         tasks = [task, scenario_task(scenarios[1])]
-        outcome = BatchRunner(workers=0, cache=cache).run(tasks)
-        assert outcome.report.cache_hits == 1
-        assert outcome.results[0] == stale
-        with pytest.raises(TypeError) as exc:
-            ResultSet.concat(outcome.results)
-        message = str(exc.value)
-        assert "got a dict" in message
-        assert "force" in message and "clear the result cache" in message
+        first = BatchRunner(workers=0, cache=cache).run(tasks)
+        assert first.report.executed == 2 and first.report.cache_hits == 0
+        assert not path.exists()
+        again = BatchRunner(workers=0, cache=cache).run(tasks)
+        assert again.report.executed == 0 and again.report.cache_hits == 2
+        fresh = ResultSet.concat([scenario.run() for scenario in scenarios])
+        assert ResultSet.concat(again.results) == fresh
 
     @pytest.mark.parametrize("corruption", [*BROKEN_PACKINGS, "missing"])
     def test_corrupt_binary_sidecar_evicted_and_reexecuted(self, tmp_path, corruption):
@@ -576,7 +579,7 @@ class TestCacheIntegration:
 
     def test_columnar_results_identical_across_worker_pool(self, tmp_path):
         tasks = [scenario_task(s) for s in ALL_TOPOLOGY_SCENARIOS]
-        assert len(tasks) == 7
+        assert len(tasks) == 8
         serial = BatchRunner(workers=0).run(tasks)
         pooled = BatchRunner(workers=2).run(tasks)
         assert pooled.results == serial.results

@@ -13,14 +13,20 @@ from hypothesis import given, settings, strategies as st
 from repro.registry import CONTROLLERS
 from repro.runner import config_hash
 from repro.scenarios import Placement, Scenario, TOPOLOGIES, generate_topology
+from repro.scenarios import spec as spec_module
+from repro.testbed.layout import default_office_layout
 
 EXTENT = 120.0
 
 #: Enough nodes to give every topology at least one full group plus leftovers.
 NODE_COUNTS = {name: 9 for name in TOPOLOGIES}
 
+#: The generators that place nodes from a seed; ``testbed`` places named
+#: stations instead (see TestTestbedTopology).
+SEEDED = sorted(name for name in TOPOLOGIES if name != "testbed")
 
-@pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+
+@pytest.mark.parametrize("name", SEEDED)
 class TestEveryGenerator:
     def _make(self, name, seed):
         return generate_topology(name, n_nodes=NODE_COUNTS[name], extent=EXTENT, seed=seed)
@@ -188,6 +194,65 @@ def test_exposed_terminal_geometry():
     assert (x[s2] - x[s1]) > 2 * (x[s1] - x[r1])
 
 
+class TestTestbedTopology:
+    NODES = ["n20", "n37", "n13", "n18"]
+
+    def _scenario(self, **overrides):
+        return Scenario(topology="testbed", n_nodes=4, topology_params={"nodes": self.NODES},
+                        duration_s=0.1, seed=3, **overrides)
+
+    def test_places_named_stations_of_the_office_layout(self):
+        layout = default_office_layout()
+        placement = generate_topology("testbed", n_nodes=4, extent=EXTENT, seed=0,
+                                      nodes=self.NODES)
+        assert list(placement.positions) == self.NODES
+        for node in self.NODES:
+            assert placement.positions[node] == layout.node(node).position
+        assert placement.flows == (("n20", "n37"), ("n13", "n18"))
+        pairs = [(a, b) for i, a in enumerate(self.NODES) for b in self.NODES[i + 1:]]
+        assert [(a, b) for a, b, _ in placement.pinned_shadowing_db] == pairs
+        for a, b, value_db in placement.pinned_shadowing_db:
+            assert value_db == layout.channel.shadowing_db(a, b)
+        # The layout fixes everything: neither seed nor extent moves a station.
+        assert generate_topology("testbed", n_nodes=4, extent=50.0, seed=9,
+                                 nodes=self.NODES) == placement
+
+    def test_seeded_generators_pin_nothing(self):
+        for name in SEEDED:
+            placement = generate_topology(name, n_nodes=NODE_COUNTS[name], extent=EXTENT, seed=0)
+            assert placement.pinned_shadowing_db == ()
+
+    def test_cold_and_warm_channels_carry_the_pinned_shadowing(self):
+        layout = default_office_layout()
+        scenario = self._scenario(sigma_db=8.0)
+        warm = scenario.compute_warm_state()
+        for state in (None, warm):
+            net, _ = scenario.build_network(state)
+            for a, b in (("n20", "n13"), ("n37", "n18")):
+                assert net.channel.shadowing_db(a, b) == layout.channel.shadowing_db(a, b)
+        assert scenario.run() == scenario.run(warm=warm)
+
+    @pytest.mark.parametrize("nodes, n_nodes", [
+        pytest.param(["n20", "x99"], 2, id="unknown"),
+        pytest.param(["n20", "n20"], 2, id="duplicate"),
+        pytest.param(["n20", "n37", "n13"], 3, id="odd"),
+        pytest.param(["n20", "n37"], 4, id="count"),
+        pytest.param([], 2, id="missing"),
+    ])
+    def test_bad_nodes_fail_at_placement(self, nodes, n_nodes, monkeypatch):
+        scenario = Scenario(topology="testbed", n_nodes=n_nodes,
+                            topology_params={"nodes": nodes} if nodes else {})
+        with pytest.raises(ValueError, match="nodes"):
+            scenario.placement()
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(spec_module, "WirelessNetwork", no_network)
+        with pytest.raises(ValueError, match="nodes"):
+            scenario.run()
+
+
 class TestScenarioSpec:
     def test_config_round_trip(self):
         scenario = Scenario(
@@ -200,7 +265,7 @@ class TestScenarioSpec:
         spec = Scenario(topology="exposed_terminal", n_nodes=4, duration_s=0.2, seed=5)
         assert spec.run() == spec.run()
 
-    def test_build_network_places_every_node(self):
+    def test_built_network_places_every_node(self):
         spec = Scenario(topology="clustered", n_nodes=8, duration_s=0.2, seed=2)
         net, placement = spec.build_network()
         assert set(net.nodes) == set(placement.positions)

@@ -2,13 +2,30 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from repro.experiments.testbed_section4 import measure_combinations
 from repro.testbed.exposed import exposed_terminal_study
-from repro.testbed.experiment import CampaignSummary, TestbedExperiment
+from repro.testbed.experiment import CampaignSummary
 from repro.testbed.layout import generate_office_layout
 from repro.testbed.pairs import select_competing_pairs
+
+#: The close-pair run below -- seed 1, 6 and 24 Mbps, 0.6 s -- as recorded
+#: by the testbed's former dedicated network builder, before the protocol
+#: ran as scenarios: the stations (sa, ra, sb, rb), then each rate's
+#: (rate, solo_a, solo_b, concurrency_a, concurrency_b, cs_a, cs_b) counts.
+RECORDED_CLOSE_PAIR = (
+    ("n20", "n37", "n13", "n18"),
+    ((6.0, 293, 293, 150, 0, 140, 158), (24.0, 839, 966, 2, 0, 414, 538)),
+)
+
+#: Short runs and a reduced rate set keep the test quick while still
+#: exercising the full protocol (solo / concurrency / carrier-sense runs,
+#: per-transmitter best-rate selection).
+PROTOCOL = dict(rates_mbps=(6.0, 24.0), run_duration_s=0.6, seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -17,21 +34,20 @@ def layout():
 
 
 @pytest.fixture(scope="module")
-def experiment(layout):
-    # Short runs and a reduced rate set keep the test quick while still
-    # exercising the full protocol (solo / concurrency / carrier-sense runs,
-    # per-transmitter best-rate selection).
-    return TestbedExperiment(layout, rates_mbps=(6.0, 24.0), run_duration_s=0.6, seed=1)
-
-
-@pytest.fixture(scope="module")
-def close_pair_result(layout, experiment):
+def close_pair_result(layout):
     combos = select_competing_pairs(layout, "short", n_combinations=8, seed=3)
     closest = max(combos, key=lambda c: c.sender_sender_rssi_dbm)
-    return closest, experiment.run_pair(closest)
+    results, _ = measure_combinations([closest], **PROTOCOL)
+    return closest, results[0]
 
 
 class TestProtocol:
+    def test_reproduces_the_recorded_counts(self, close_pair_result):
+        combo, result = close_pair_result
+        stations = (combo.pair_a.sender, combo.pair_a.receiver,
+                    combo.pair_b.sender, combo.pair_b.receiver)
+        assert (stations, tuple(astuple(d) for d in result.per_rate)) == RECORDED_CLOSE_PAIR
+
     def test_per_rate_details_cover_requested_rates(self, close_pair_result):
         _, result = close_pair_result
         assert [d.rate_mbps for d in result.per_rate] == [6.0, 24.0]
@@ -67,27 +83,27 @@ class TestProtocol:
             )
         )
 
-    def test_invalid_construction(self, layout):
+    def test_invalid_protocol_rejected(self):
         with pytest.raises(ValueError):
-            TestbedExperiment(layout, run_duration_s=0.0)
+            measure_combinations([], rates_mbps=(6.0,), run_duration_s=0.0, seed=1)
         with pytest.raises(ValueError):
-            TestbedExperiment(layout, rates_mbps=())
+            measure_combinations([], rates_mbps=(), run_duration_s=0.6, seed=1)
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
-    def test_non_finite_duration_rejected(self, layout, duration):
+    def test_non_finite_duration_rejected(self, duration):
         with pytest.raises(ValueError, match="run_duration_s"):
-            TestbedExperiment(layout, run_duration_s=duration)
+            measure_combinations([], rates_mbps=(6.0,), run_duration_s=duration, seed=1)
 
-    def test_unknown_rate_rejected(self, layout):
+    def test_unknown_rate_rejected(self):
         with pytest.raises(ValueError, match="rates_mbps: 7.0 Mbps"):
-            TestbedExperiment(layout, rates_mbps=(6.0, 7.0))
+            measure_combinations([], rates_mbps=(6.0, 7.0), run_duration_s=0.6, seed=1)
 
 
 class TestCampaignAndExposedStudy:
     @pytest.fixture(scope="class")
-    def campaign(self, layout, experiment):
+    def campaign(self, layout):
         combos = select_competing_pairs(layout, "short", n_combinations=3, seed=4)
-        return CampaignSummary(results=tuple(experiment.run_pair(pairs) for pairs in combos))
+        return CampaignSummary(results=measure_combinations(combos, **PROTOCOL)[0])
 
     def test_summary_averages_are_consistent(self, campaign):
         cs_mean = np.mean([r.carrier_sense.combined_pps for r in campaign.results])
@@ -115,9 +131,8 @@ class TestCampaignAndExposedStudy:
         assert "Bitrate adaptation" in study.format_report()
 
     def test_exposed_study_requires_base_rate(self, layout):
-        exp = TestbedExperiment(layout, rates_mbps=(12.0,), run_duration_s=0.3, seed=1)
         combos = select_competing_pairs(layout, "short", n_combinations=1, seed=4)
-        results = [exp.run_pair(pairs) for pairs in combos]
+        results, _ = measure_combinations(combos, rates_mbps=(12.0,), run_duration_s=0.3, seed=1)
         with pytest.raises(ValueError):
             exposed_terminal_study(results, base_rate_mbps=6.0)
 
